@@ -21,7 +21,6 @@ from .contexts import KINDS, LevelSpec, build_hierarchy, partition_dump
 from .depth_core import DepthMap
 from .errors import HdnormError
 from .harness import FitConfig, SceneSpec
-from .loss import LossConfig
 
 
 def _load_map(path: str, mask_path=None) -> DepthMap:
@@ -58,26 +57,11 @@ def _parse_levels(text: str) -> tuple:
         raise HdnormError(f"bad levels list {text!r}; expected e.g. 1,2,4")
 
 
-_KIND_ALIASES = {
-    "hdn_s": "spatial",
-    "hdn_dp": "depth_percentile",
-    "hdn_dr": "depth_range",
-}
-
-
-def _build_cfg(gt: DepthMap, kind: str, levels: tuple, eps: float,
-               min_context: int) -> LossConfig:
-    ctx_kind = _KIND_ALIASES.get(kind, "spatial")
-    sizes = (1,) if kind == "ssi" else levels
-    return LossConfig(hierarchy=build_hierarchy(gt, LevelSpec(ctx_kind, sizes)),
-                      eps=eps, min_context=min_context)
-
-
 def cmd_loss(args) -> int:
     pred = _load_map(args.pred, args.pred_mask)
     gt = _load_map(args.gt, args.gt_mask)
-    cfg = _build_cfg(gt, args.kind, _parse_levels(args.levels), args.eps,
-                     args.min_context)
+    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels),
+                              args.eps, args.min_context)
     if args.lam is not None:
         report = loss_mod.l1_plus_hdn(pred, gt, cfg, args.lam)
     elif args.kind == "ssi":
@@ -96,8 +80,8 @@ def cmd_grad_check(args) -> int:
     gt = _load_map(args.gt, args.gt_mask)
     if args.step <= 0:
         raise HdnormError(f"step must be > 0, got {args.step}")
-    cfg = _build_cfg(gt, args.kind, _parse_levels(args.levels), args.eps,
-                     args.min_context)
+    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels),
+                              args.eps, args.min_context)
     analytic = loss_mod.hdn_gradient(pred, gt, cfg)
     numeric = loss_mod.numerical_gradient(pred, gt, cfg, step=args.step)
     tied = loss_mod.tie_mask(pred, gt, cfg)
@@ -245,8 +229,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_loss_flags(p, with_lambda=False) -> None:
-    p.add_argument("--kind", choices=("ssi", "hdn_s", "hdn_dp", "hdn_dr"),
-                   default="ssi")
+    p.add_argument("--kind", choices=harness.LOSS_KINDS, default="ssi")
     p.add_argument("--levels", default="1,2,4")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--min-context", dest="min_context", type=int, default=2)

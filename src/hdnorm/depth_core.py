@@ -77,12 +77,12 @@ def delinearize(linear: int, width: int) -> tuple[int, int]:
 def read_pfm(path) -> DepthMap:
     """Read a grayscale PFM file. All pixels are marked valid."""
     with open(path, "rb") as f:
-        header = _read_token_line(f, "header")
+        header = _read_token_line(f, "PFM", "header")
         if header == "PF":
             raise FormatError("color PFM ('PF') not supported; expected grayscale 'Pf'")
         if header != "Pf":
             raise FormatError(f"bad PFM header {header!r}; expected 'Pf'")
-        dims = _read_token_line(f, "dimensions").split()
+        dims = _read_token_line(f, "PFM", "dimensions").split()
         if len(dims) != 2:
             raise FormatError(f"bad PFM dimensions line {dims!r}")
         try:
@@ -91,7 +91,7 @@ def read_pfm(path) -> DepthMap:
             raise FormatError(f"bad PFM dimensions {dims!r}") from exc
         if width < 1 or height < 1:
             raise FormatError(f"bad PFM dimensions {width}x{height}")
-        scale_line = _read_token_line(f, "scale")
+        scale_line = _read_token_line(f, "PFM", "scale")
         try:
             scale = float(scale_line)
         except ValueError as exc:
@@ -118,15 +118,19 @@ def write_pfm(map_: DepthMap, path) -> None:
         f.write(data.tobytes())
 
 
-def _read_token_line(f, what: str) -> str:
-    buf = b""
-    while True:
-        c = f.read(1)
-        if not c:
-            raise FormatError(f"unexpected end of file while reading PFM {what}")
-        if c == b"\n":
-            return buf.decode("ascii", errors="replace").strip()
-        buf += c
+# Longer than any well-formed PFM/PGM header line, so a file without
+# newlines is rejected after reading this many bytes.
+_MAX_HEADER_LINE = 256
+
+
+def _read_token_line(f, fmt: str, what: str) -> str:
+    line = f.readline(_MAX_HEADER_LINE + 1)
+    if not line.endswith(b"\n"):
+        if len(line) > _MAX_HEADER_LINE:
+            raise FormatError(
+                f"{fmt} {what} line longer than {_MAX_HEADER_LINE} bytes")
+        raise FormatError(f"unexpected end of file while reading {fmt} {what}")
+    return line.decode("ascii", errors="replace").strip()
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +139,19 @@ def _read_token_line(f, what: str) -> str:
 def read_mask(path) -> np.ndarray:
     """Read a binary PGM ("P5", maxval 255); nonzero byte = valid."""
     with open(path, "rb") as f:
-        magic = _read_token_line(f, "header")
+        magic = _read_token_line(f, "PGM", "header")
         if magic != "P5":
             raise FormatError(f"bad PGM header {magic!r}; expected 'P5'")
-        dims = _read_token_line(f, "dimensions").split()
+        dims = _read_token_line(f, "PGM", "dimensions").split()
         if len(dims) != 2:
             raise FormatError(f"bad PGM dimensions line {dims!r}")
-        width, height = int(dims[0]), int(dims[1])
-        maxval = _read_token_line(f, "maxval")
+        try:
+            width, height = int(dims[0]), int(dims[1])
+        except ValueError as exc:
+            raise FormatError(f"bad PGM dimensions {dims!r}") from exc
+        if width < 1 or height < 1:
+            raise FormatError(f"bad PGM dimensions {width}x{height}")
+        maxval = _read_token_line(f, "PGM", "maxval")
         if maxval != "255":
             raise FormatError(f"bad PGM maxval {maxval!r}; expected 255")
         payload = f.read(width * height)

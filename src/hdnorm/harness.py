@@ -20,7 +20,14 @@ from .loss import LossConfig, hdn_loss
 from .metrics import absrel, align_scale_shift
 from .normalization import DEFAULT_EPS
 
-LOSS_KINDS = ("ssi", "hdn_s", "hdn_dp", "hdn_dr")
+# loss kind -> context kind of its levels; ssi is the single global level
+_CONTEXT_KINDS = {
+    "ssi": "spatial",
+    "hdn_s": "spatial",
+    "hdn_dp": "depth_percentile",
+    "hdn_dr": "depth_range",
+}
+LOSS_KINDS = tuple(_CONTEXT_KINDS)
 INIT_KINDS = ("constant", "noisy_gt", "random")
 
 
@@ -118,17 +125,13 @@ def generate_scene(spec: SceneSpec) -> DepthMap:
     return DepthMap(values)
 
 
-def _loss_config(gt: DepthMap, cfg: FitConfig) -> LossConfig:
-    if cfg.loss_kind == "ssi":
-        spec = LevelSpec("spatial", (1,))
-    elif cfg.loss_kind == "hdn_s":
-        spec = LevelSpec("spatial", cfg.level_sizes)
-    elif cfg.loss_kind == "hdn_dp":
-        spec = LevelSpec("depth_percentile", cfg.level_sizes)
-    else:
-        spec = LevelSpec("depth_range", cfg.level_sizes)
+def loss_config(gt: DepthMap, loss_kind: str, level_sizes: tuple,
+                eps: float, min_context: int) -> LossConfig:
+    """The LossConfig of a loss kind over gt; ssi ignores level_sizes."""
+    sizes = (1,) if loss_kind == "ssi" else level_sizes
+    spec = LevelSpec(_CONTEXT_KINDS[loss_kind], sizes)
     return LossConfig(hierarchy=build_hierarchy(gt, spec),
-                      eps=cfg.eps, min_context=cfg.min_context)
+                      eps=eps, min_context=min_context)
 
 
 def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
@@ -145,9 +148,12 @@ def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
 
 def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
     """Fixed-step gradient descent on the prediction map, with the step
-    halved whenever a step would increase the loss. Contexts are built
-    once from gt and never change."""
-    loss_cfg = _loss_config(gt, cfg)
+    halved whenever a step would increase the loss or leave a non-finite
+    value at a valid pixel. Contexts are built once from gt and never
+    change. Raises DivergenceError when the loss is non-finite or no
+    halving of the step gives a finite candidate."""
+    loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes, cfg.eps,
+                           cfg.min_context)
     pred_vals = _initial_prediction(gt, cfg)
     lr = cfg.step_size
 
@@ -158,18 +164,23 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
         current = trajectory[-1]
         if not np.isfinite(current):
             raise DivergenceError(step)
-        moved = False
+        moved = finite = False
         for _ in range(60):
-            cand = pred_vals - lr * grad
-            cand_report = hdn_loss(DepthMap(cand, gt.valid), gt, loss_cfg,
-                                   with_gradient=True)
-            if cand_report.value <= current:
-                pred_vals = cand
-                grad = cand_report.gradient
-                trajectory.append(cand_report.value)
-                moved = True
-                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand = pred_vals - lr * grad
+            if np.isfinite(cand[gt.valid]).all():
+                finite = True
+                cand_report = hdn_loss(DepthMap(cand, gt.valid), gt, loss_cfg,
+                                       with_gradient=True)
+                if cand_report.value <= current:
+                    pred_vals = cand
+                    grad = cand_report.gradient
+                    trajectory.append(cand_report.value)
+                    moved = True
+                    break
             lr /= 2
+        if not finite:
+            raise DivergenceError(step)
         if not moved:
             trajectory.append(current)  # converged; stay put
 

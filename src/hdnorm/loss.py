@@ -10,9 +10,21 @@ pixels are dropped (a singleton context normalizes to 0/0), and contexts
 whose ground-truth MAD is <= eps carry no relative-depth signal and are
 dropped when gt_degenerate_skip is set.
 
-Gradients treat the median's argsort selection and every sign() as
+An evaluation has two parts. The *plan* holds what depends only on the
+gt and the joint mask: per level, the members of the surviving contexts
+as one flat array grouped by context, their normalized gt values and
+their weights in the pixel mean. A LossConfig remembers the plan of the
+last (gt, joint mask) it evaluated, so calls that reuse one gt build it
+once. The *pass* does the per-prediction work with no loop over
+contexts: one argsort of pred serves every level, a stable sort of each
+level's context labels regroups it so that every context's median sits
+at a known offset, and segment sums give the MAD and the gradient
+terms.
+
+Gradients treat the median's sort selection and every sign() as
 locally constant; the loss is piecewise smooth and tests skip tie
-neighborhoods.
+neighborhoods. Among tied pred values the lower linear index ranks
+first, and the median derivative follows that rank.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .contexts import ContextHierarchy, LevelSpec, batch_context, build_hierarchy
+from .contexts import ContextHierarchy, LevelSpec, build_hierarchy
 from .depth_core import DepthMap
 from .errors import DegenerateInputError, EmptyInputError, ParameterError, ShapeMismatchError
 from .normalization import DEFAULT_EPS
@@ -34,6 +46,9 @@ class LossConfig:
     eps: float = DEFAULT_EPS
     min_context: int = 2
     gt_degenerate_skip: bool = True
+    # (gt, joint mask, plan) of the last evaluation, see _plan_for
+    _memo: Optional[tuple] = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -50,6 +65,27 @@ class LossReport:
     used_pixels: int
 
 
+@dataclass(frozen=True)
+class _LevelPlan:
+    """The surviving contexts of one level. Members are listed context
+    by context, in ascending linear index within each context."""
+
+    tag: str
+    pix: np.ndarray      # linear index of each member
+    sizes: np.ndarray    # members per context
+    offsets: np.ndarray  # start of each context in pix
+    label: np.ndarray    # per map pixel: its context, len(sizes) if none
+    ng: np.ndarray       # normalized gt per member
+
+
+@dataclass(frozen=True)
+class _Plan:
+    levels: tuple
+    used: np.ndarray    # pixels in at least one surviving context
+    counts: np.ndarray  # surviving contexts per used pixel
+    weight: np.ndarray  # per map pixel: 1 / (used pixels * its count)
+
+
 def _check_pair(pred: DepthMap, gt: DepthMap) -> np.ndarray:
     if (pred.height, pred.width) != (gt.height, gt.width):
         raise ShapeMismatchError(
@@ -60,16 +96,18 @@ def _check_pair(pred: DepthMap, gt: DepthMap) -> np.ndarray:
     return joint
 
 
-def _surviving_contexts(pred, gt, cfg):
-    """Per level, the contexts restricted to joint-valid pixels that pass
-    the size and gt-degeneracy filters."""
-    joint = _check_pair(pred, gt).ravel()
+def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
+    """Filter every context to the joint-valid pixels, drop those the
+    size and gt-degeneracy rules reject, and flatten the rest."""
+    jf = joint.ravel()
     gf = gt.values.ravel()
-    survivors = []
+    npix = gf.size
+    counts = np.zeros(npix, dtype=np.int64)
+    levels = []
     for part in cfg.hierarchy.levels:
-        kept = []
+        kept, ngs = [], []
         for ctx in part.contexts:
-            idx = ctx[joint[ctx]]
+            idx = ctx[jf[ctx]]
             if idx.size < cfg.min_context:
                 continue
             gvals = gf[idx]
@@ -77,92 +115,133 @@ def _surviving_contexts(pred, gt, cfg):
             gmad = np.mean(np.abs(gvals - gm))
             if cfg.gt_degenerate_skip and gmad <= cfg.eps:
                 continue
-            ng = (gvals - gm) / max(gmad, cfg.eps)
-            kept.append((idx, ng))
-        survivors.append((part.level_tag, kept))
-    return survivors
+            kept.append(idx)
+            ngs.append((gvals - gm) / max(gmad, cfg.eps))
+        k = len(kept)
+        sizes = np.array([idx.size for idx in kept], dtype=np.intp)
+        pix = np.concatenate(kept) if kept else np.empty(0, dtype=np.intp)
+        label = np.full(npix, k, dtype=np.int16 if k < 2**15 else np.int32)
+        label[pix] = np.repeat(np.arange(k), sizes)
+        counts += label < k
+        levels.append(_LevelPlan(part.level_tag, pix, sizes,
+                                 np.cumsum(sizes) - sizes, label,
+                                 np.concatenate(ngs) if ngs else np.empty(0)))
+    used = np.flatnonzero(counts)
+    if used.size == 0:
+        raise DegenerateInputError("all contexts filtered out")
+    weight = np.zeros(npix)
+    weight[used] = 1.0 / (used.size * counts[used])
+    return _Plan(tuple(levels), used, counts[used], weight)
+
+
+def _plan_for(cfg: LossConfig, gt: DepthMap, joint: np.ndarray) -> _Plan:
+    """cfg's plan for (gt, joint), rebuilt only when either changed. gt
+    is compared by identity: a DepthMap holds read-only copies of its
+    arrays, so one object always carries the same values."""
+    memo = cfg._memo
+    if memo is not None and memo[0] is gt and np.array_equal(memo[1], joint):
+        return memo[2]
+    plan = _build_plan(gt, joint, cfg)
+    object.__setattr__(cfg, "_memo", (gt, joint, plan))
+    return plan
+
+
+def _pred_order(plan: _Plan, pf: np.ndarray, stable: bool) -> np.ndarray:
+    """The used pixels in ascending pred order, shared by every level.
+    Tied values share one median value, which is all the forward pass
+    reads. The gradient also needs which pixel holds the median rank, so
+    with stable set, tied values keep ascending linear index order.
+    Without ties the default sort, 4-5x faster than the stable one on
+    float64, already gives that order."""
+    vals = pf[plan.used]
+    order = np.argsort(vals)
+    if stable:
+        ranked = vals[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(vals, kind="stable")
+    return plan.used[order]
+
+
+def _middle_ranks(lv: _LevelPlan, order: np.ndarray):
+    """Pixels at the lower and upper middle rank of each context (one
+    pixel for odd sizes). The stable sort of the labels, a radix sort
+    for int16, keeps pred order within each context."""
+    perm = np.argsort(lv.label[order], kind="stable")
+    return (order[perm[lv.offsets + (lv.sizes - 1) // 2]],
+            order[perm[lv.offsets + lv.sizes // 2]])
+
+
+def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray, eps: float):
+    """(lo, hi, dev, mad, res) of one level: the middle-rank pixels, and
+    per member the deviation from the context median and the normalized
+    residual; mad is the unclamped MAD per context."""
+    lo, hi = _middle_ranks(lv, order)
+    # equals np.median's (a + b) / 2 and cannot overflow when a == b
+    med = 0.5 * pf[lo] + 0.5 * pf[hi]
+    dev = pf[lv.pix]
+    dev -= np.repeat(med, lv.sizes)
+    mad = np.add.reduceat(np.abs(dev), lv.offsets) / lv.sizes
+    res = dev / np.repeat(np.maximum(mad, eps), lv.sizes)
+    res -= lv.ng
+    return lo, hi, dev, mad, res
 
 
 def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
              with_gradient: bool = False) -> LossReport:
     """Hierarchical loss over cfg.hierarchy (built from this gt)."""
-    survivors = _surviving_contexts(pred, gt, cfg)
+    plan = _plan_for(cfg, gt, _check_pair(pred, gt))
     pf = pred.values.ravel()
-    npix = pf.size
-    contrib = np.zeros(npix)
-    counts = np.zeros(npix, dtype=np.int64)
+    order = _pred_order(plan, pf, stable=with_gradient)
+    contrib = np.zeros(pf.size)
+    gradient = np.zeros(pf.size) if with_gradient else None
     per_level = []
-    for tag, kept in survivors:
-        level_sum, level_n = 0.0, 0
-        for idx, ng in kept:
-            pvals = pf[idx]
-            pm = np.median(pvals)
-            pmad = np.mean(np.abs(pvals - pm))
-            res = (pvals - pm) / max(pmad, cfg.eps) - ng
-            a = np.abs(res)
-            contrib[idx] += a
-            counts[idx] += 1
-            level_sum += a.sum()
-            level_n += a.size
-        per_level.append((tag, level_sum / level_n if level_n else 0.0))
-    used = counts > 0
-    m_used = int(used.sum())
-    if m_used == 0:
-        raise DegenerateInputError("all contexts filtered out")
-    value = float(np.mean(contrib[used] / counts[used]))
-    gradient = None
+    for lv in plan.levels:
+        lo, hi, dev, mad, res = _level_pass(lv, pf, order, cfg.eps)
+        if with_gradient:
+            gradient[lv.pix] += _level_gradient(plan, lv, lo, hi, dev, mad,
+                                                res, cfg.eps)
+        res = np.abs(res)
+        contrib[lv.pix] += res
+        per_level.append((lv.tag, float(res.sum()) / res.size if res.size else 0.0))
+    value = float(np.mean(contrib[plan.used] / plan.counts))
     if with_gradient:
-        gradient = _accumulate_gradient(pf, survivors, counts, m_used, cfg.eps)
         gradient = gradient.reshape(pred.values.shape)
     return LossReport(value=value, gradient=gradient, per_level=per_level,
-                      used_pixels=m_used)
+                      used_pixels=int(plan.used.size))
+
+
+def _level_gradient(plan, lv, lo, hi, dev, mad, res, eps) -> np.ndarray:
+    """d(loss)/d(pred) per member of one level's contexts."""
+    def per_member(per_context):
+        return np.repeat(per_context, lv.sizes)
+
+    # deadband so numerically-affine predictions (residuals at
+    # rounding noise) get an exactly zero gradient
+    ws = np.where(np.abs(res) > 1e-12, np.sign(res), 0.0)
+    ws *= plan.weight[lv.pix]
+    # d median / d pred, holding the sort order fixed
+    e = np.zeros(plan.weight.size)
+    e[lo] = 0.5
+    e[hi] += 0.5
+    e = e[lv.pix]
+    # d MAD / d pred; zero where the clamp holds s at eps
+    sgn = np.sign(dev)
+    ds = sgn - e * per_member(np.add.reduceat(sgn, lv.offsets))
+    ds /= per_member(lv.sizes)
+    ds[~per_member(mad > eps)] = 0.0
+    s = np.maximum(mad, eps)
+    A = np.add.reduceat(ws, lv.offsets) / s
+    B = np.add.reduceat(ws * dev, lv.offsets) / s / s
+    grad = ws / per_member(s)
+    grad -= e * per_member(A)
+    grad -= ds * per_member(B)
+    return grad
 
 
 def hdn_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
     """Analytical d(loss)/d(pred) as an H x W array; zero at invalid
     pixels and at pixels with no surviving context."""
     return hdn_loss(pred, gt, cfg, with_gradient=True).gradient
-
-
-def _median_derivative(values: np.ndarray) -> np.ndarray:
-    """d median / d value_k for the even/odd median rule, holding the
-    sort order fixed."""
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    e = np.zeros(n)
-    if n % 2 == 1:
-        e[order[n // 2]] = 1.0
-    else:
-        e[order[n // 2 - 1]] = 0.5
-        e[order[n // 2]] = 0.5
-    return e
-
-
-def _accumulate_gradient(pf, survivors, counts, m_used, eps):
-    grad = np.zeros(pf.size)
-    for _tag, kept in survivors:
-        for idx, ng in kept:
-            d = pf[idx]
-            n = d.size
-            m = np.median(d)
-            dev = d - m
-            madv = np.mean(np.abs(dev))
-            s = max(madv, eps)
-            res = dev / s - ng
-            # deadband so numerically-affine predictions (residuals at
-            # rounding noise) get an exactly zero gradient
-            sig = np.where(np.abs(res) > 1e-12, np.sign(res), 0.0)
-            w = 1.0 / (m_used * counts[idx])
-            e = _median_derivative(d)
-            if madv > eps:
-                sgn_dev = np.sign(dev)
-                ds = (sgn_dev - e * sgn_dev.sum()) / n
-            else:
-                ds = np.zeros(n)
-            A = float(np.sum(w * sig))
-            B = float(np.sum(w * sig * dev))
-            grad[idx] += w * sig / s - e * (A / s) - ds * (B / s**2)
-    return grad
 
 
 def ssi_loss(pred: DepthMap, gt: DepthMap, eps: float = DEFAULT_EPS) -> LossReport:
@@ -255,35 +334,25 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """Pixels near a median/sign tie, where finite differences straddle a
     kink of the piecewise-smooth loss. Conservative: if any member of a
     context is within margin of a tie, the whole context is flagged."""
-    survivors = _surviving_contexts(pred, gt, cfg)
+    plan = _plan_for(cfg, gt, _check_pair(pred, gt))
     pf = pred.values.ravel()
+    order = _pred_order(plan, pf, stable=False)
     tied = np.zeros(pf.size, dtype=bool)
-    for _tag, kept in survivors:
-        for idx, ng in kept:
-            d = pf[idx]
-            n = d.size
-            m = np.median(d)
-            dev = d - m
-            madv = np.mean(np.abs(dev))
-            s = max(madv, cfg.eps)
-            res = dev / s - ng
-            srt = np.sort(d)
-            middles = ([srt[n // 2]] if n % 2 == 1
-                       else [srt[n // 2 - 1], srt[n // 2]])
-            # sign(dev) flips; the middle's own dev is identically zero
-            nonmid = np.abs(dev) > 0
-            flag = bool(np.any(np.abs(dev[nonmid]) < margin))
-            # order crossings that reselect the median
-            for mv in middles:
-                dist = np.abs(d - mv)
-                if np.any(dist[dist > 0] < margin):
-                    flag = True
-            # residual sign flips, scaled by the normalization slope
-            if np.min(np.abs(res)) < margin * max(1.0, 1.0 / s):
-                flag = True
-            # clamp branch switch
-            if abs(madv - cfg.eps) < margin:
-                flag = True
-            if flag:
-                tied[idx] = True
+    for lv in plan.levels:
+        lo, hi, dev, mad, res = _level_pass(lv, pf, order, cfg.eps)
+        d = pf[lv.pix]
+        absdev = np.abs(dev)
+        # sign(dev) flips; the middle's own dev is identically zero
+        near = (absdev > 0) & (absdev < margin)
+        # order crossings that reselect the median
+        for mid in (lo, hi):
+            dist = np.abs(d - np.repeat(pf[mid], lv.sizes))
+            near |= (dist > 0) & (dist < margin)
+        # residual sign flips, scaled by the normalization slope
+        s = np.maximum(mad, cfg.eps)
+        near |= np.abs(res) < np.repeat(margin * np.maximum(1.0, 1.0 / s), lv.sizes)
+        flag = np.logical_or.reduceat(near, lv.offsets)
+        # clamp branch switch
+        flag |= np.abs(mad - cfg.eps) < margin
+        tied[lv.pix[np.repeat(flag, lv.sizes)]] = True
     return tied.reshape(pred.values.shape)

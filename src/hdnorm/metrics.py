@@ -9,6 +9,7 @@ predictions are kept as-is and count as delta1 failures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,16 +44,23 @@ def align_scale_shift(pred: DepthMap, gt: DepthMap) -> tuple[float, float]:
     d, dstar = _joint_values(pred, gt)
     if d.size < 2:
         raise DegenerateAlignmentError("need at least 2 jointly valid pixels")
+    # A scale-invariant loss can grow a fitted pred toward the float
+    # limit, where the sums below overflow. Scaling d by a power of two
+    # is exact and leaves t unchanged, so d's largest magnitude is
+    # brought into [0.5, 1) and s is scaled back at the end.
+    _, exp = math.frexp(float(np.max(np.abs(d))))
+    d = np.ldexp(d, -exp)
     n = float(d.size)
     sxx, sx = float(np.dot(d, d)), float(d.sum())
     det = sxx * n - sx * sx
-    # det = n * variance * n; zero iff pred is constant over the mask
-    if det <= 1e-12 * max(sxx * n, 1.0):
+    # det / (sxx * n) = variance / mean square of d, which is zero iff
+    # pred is constant over the mask and does not depend on pred's scale
+    if det <= 1e-12 * sxx * n:
         raise DegenerateAlignmentError("constant prediction over the joint mask")
     sxy, sy = float(np.dot(d, dstar)), float(dstar.sum())
     s = (sxy * n - sx * sy) / det
     t = (sxx * sy - sx * sxy) / det
-    return s, t
+    return math.ldexp(s, -exp), t
 
 
 def absrel(pred_aligned: DepthMap, gt: DepthMap) -> float:

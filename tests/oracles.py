@@ -107,3 +107,58 @@ def ref_ssi_loss(pred, gt, pred_valid, gt_valid, H, W, eps=1e-6):
     pn = ref_normalize([pred[r][c] for r, c in idx], eps)
     gn = ref_normalize([gt[r][c] for r, c in idx], eps)
     return sum(abs(a - b) for a, b in zip(pn, gn)) / len(idx)
+
+
+def ref_hdn_gradient(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
+                     eps=1e-6, min_context=2, gt_degenerate_skip=True):
+    """d(loss)/d(pred) as an H x W list of lists, context by context:
+    the median's rank selection and every sign() are held fixed, the
+    median rank among tied pred values goes to the lower linear index,
+    and residuals within 1e-12 of zero count as zero."""
+    joint = [[pred_valid[r][c] and gt_valid[r][c] for c in range(W)]
+             for r in range(H)]
+    kept = []  # (member indices, normalized gt)
+    for S in sizes:
+        for ctx in ref_partition(gt, gt_valid, H, W, kind, S):
+            idx = [i for i in ctx if joint[i // W][i % W]]
+            if len(idx) < min_context:
+                continue
+            gvals = [gt[i // W][i % W] for i in idx]
+            if gt_degenerate_skip and ref_mad(gvals, ref_median(gvals)) <= eps:
+                continue
+            kept.append((idx, ref_normalize(gvals, eps)))
+    count = {}
+    for idx, _ in kept:
+        for i in idx:
+            count[i] = count.get(i, 0) + 1
+    if not count:
+        return None
+    m_used = len(count)
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    grad = [[0.0] * W for _ in range(H)]
+    for idx, gn in kept:
+        d = [pred[i // W][i % W] for i in idx]
+        n = len(d)
+        m = ref_median(d)
+        mad = ref_mad(d, m)
+        s = max(mad, eps)
+        dev = [v - m for v in d]
+        ranked = sorted(range(n), key=lambda k: (d[k], idx[k]))
+        e = [0.0] * n  # d median / d pred
+        for k in {ranked[(n - 1) // 2], ranked[n // 2]}:
+            e[k] = 1.0 if n % 2 else 0.5
+        total_sign = sum(sign(x) for x in dev)
+        ds = [(sign(dev[k]) - e[k] * total_sign) / n if mad > eps else 0.0
+              for k in range(n)]  # d MAD / d pred
+        ws = []
+        for k, i in enumerate(idx):
+            res = dev[k] / s - gn[k]
+            ws.append((sign(res) if abs(res) > 1e-12 else 0) / (m_used * count[i]))
+        A = sum(ws)
+        B = sum(w * x for w, x in zip(ws, dev))
+        for k, i in enumerate(idx):
+            grad[i // W][i % W] += ws[k] / s - e[k] * A / s - ds[k] * B / s / s
+    return grad

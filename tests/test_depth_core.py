@@ -1,4 +1,5 @@
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +157,37 @@ def test_mask_bad_maxval(tmp_path):
     with pytest.raises(FormatError, match="maxval"):
         read_mask(p)
 
+
+
+@pytest.mark.parametrize("reader,fmt,magic", [
+    (read_pfm, "PFM", b"Pf\n"),
+    (read_mask, "PGM", b"P5\n"),
+])
+@pytest.mark.parametrize("garbage", [b"", b"1"])
+def test_header_without_newline_rejected_fast(tmp_path, reader, fmt, magic, garbage):
+    # 2 MB with no newline, as the first header line or after the magic
+    p = tmp_path / "no_newline"
+    p.write_bytes((magic if garbage else b"") + b"7" * (2 << 20))
+    t0 = time.monotonic()
+    with pytest.raises(FormatError, match=f"{fmt} .*line longer than"):
+        reader(p)
+    assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("reader,fmt", [(read_pfm, "PFM"), (read_mask, "PGM")])
+def test_header_eof_names_format(tmp_path, reader, fmt):
+    p = tmp_path / "short"
+    p.write_bytes(b"P")
+    with pytest.raises(FormatError, match=f"end of file while reading {fmt} header"):
+        reader(p)
+
+
+@pytest.mark.parametrize("dims", [b"x 2", b"2 2.5", b"0 2", b"2 -1"])
+def test_mask_bad_dimensions(tmp_path, dims):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5\n" + dims + b"\n255\n" + b"\xff" * 4)
+    with pytest.raises(FormatError, match="PGM dimensions"):
+        read_mask(p)
 
 # --- CSV ---
 

@@ -43,6 +43,21 @@ def test_gradient_matches_finite_differences(rng, kind, sizes):
     assert checked > 50
 
 
+def test_median_tie_goes_to_lowest_index():
+    # pred [3, 0, 3, 2, 4]: the stable order is 0, 2, 3, 3, 4 with the
+    # tied 3s at pixels 0 and 2, so the median rank goes to pixel 0:
+    # e = [1, 0, 0, 0, 0]. With gt [1..5]: m = 3, dev = [0, -3, 0, -1, 1],
+    # s = 1, ng = [-5/3, -5/6, 0, 5/6, 5/3], sign(res) = [1, -1, 0, -1, -1],
+    # w = 1/5, A = -2/5, B = 3/5, dMAD = (sign(dev) + e) / 5. Then
+    # grad = w sign(res) / s - e A / s - dMAD B / s^2.
+    # Pixel 2 holding the rank would give [0.2, -0.08, 0.28, -0.08, -0.32].
+    pred = DepthMap(np.array([[3.0, 0.0, 3.0, 2.0, 4.0]]))
+    gt = DepthMap(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1,))))
+    grad = hdn_gradient(pred, gt, cfg)
+    assert np.allclose(grad, [[0.48, -0.08, 0.0, -0.08, -0.32]], rtol=0, atol=1e-15)
+
+
 def test_gradient_zero_at_affine_minimum(rng):
     _, gt = random_pair(rng, 6, 6)
     pred = DepthMap(2 * gt.values + 1, gt.valid)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from hdnorm import (
     generate_scene,
     standard_fixture,
 )
-from hdnorm.errors import ParameterError
-from hdnorm.harness import _loss_config, format_table, rows_to_csv
+from hdnorm.errors import DivergenceError, ParameterError
+from hdnorm.harness import format_table, loss_config, rows_to_csv
 from hdnorm.loss import hdn_loss
 
 
@@ -85,12 +87,52 @@ def test_fit_trajectory_monotone_and_finite():
     assert (np.diff(traj) <= 1e-15).all()
 
 
+def test_fit_with_overflowing_step_size_is_clean():
+    # the first step multiplies pred by ~1e305; the fit must return
+    # finite results without a floating-point warning
+    spec = standard_fixture()
+    gt = generate_scene(spec)
+    cfg = FitConfig("hdn_dr", (1, 2, 4), init="random", step_size=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, report = fit_depth(gt, cfg, foreground=spec.foreground)
+    traj = np.array(report.loss_trajectory)
+    assert np.isfinite(traj).all() and (np.diff(traj) <= 0).all()
+    assert traj[-1] < traj[0]
+    assert np.isfinite([report.global_absrel, report.foreground_local_absrel]).all()
+
+
+def test_fit_rejects_non_finite_candidates():
+    # on a 2x4 map with a 1e-3 depth range the first candidates overflow
+    # to inf and must be halved away, not raise from DepthMap; the first
+    # finite ones sit near the float limit, where the loss's own sums
+    # overflow, which this test does not check
+    gt = DepthMap(np.array([[1.0, 1.001, 1.0004, 1.0007],
+                            [1.0002, 1.0009, 1.0001, 1.0005]]))
+    cfg = FitConfig("hdn_dr", (1, 2), init="random", step_size=1e308, steps=3)
+    with np.errstate(over="ignore"):
+        fitted, report = fit_depth(gt, cfg)
+    assert np.isfinite(fitted.values).all()
+    assert np.isfinite(report.loss_trajectory).all()
+
+
+def test_fit_diverges_when_every_backtrack_is_non_finite():
+    gt = generate_scene(small_fixture())
+    cfg = FitConfig("hdn_dr", (1, 2), steps=5, step_size=float("inf"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as info:
+            fit_depth(gt, cfg)
+    assert info.value.step == 0
+
+
 def test_fitted_loss_affine_free():
     spec = small_fixture()
     gt = generate_scene(spec)
     cfg = FitConfig("hdn_dr", (1, 2), steps=10, step_size=50.0, seed=2)
     fitted, report = fit_depth(gt, cfg, foreground=spec.foreground)
-    loss_cfg = _loss_config(gt, cfg)
+    loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes, cfg.eps,
+                           cfg.min_context)
     base = hdn_loss(fitted, gt, loss_cfg).value
     for a in (0.5, 3.0):
         scaled = DepthMap(a * fitted.values, fitted.valid)

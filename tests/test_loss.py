@@ -20,7 +20,7 @@ from hdnorm.errors import (
 )
 
 from conftest import random_pair
-from oracles import ref_hdn_loss, ref_ssi_loss
+from oracles import ref_hdn_gradient, ref_hdn_loss, ref_ssi_loss
 
 
 def global_cfg(gt, **kw):
@@ -102,21 +102,29 @@ def test_hdn_1x8_dr_matches_brute_force():
 
 @pytest.mark.parametrize("kind", ["spatial", "depth_percentile", "depth_range"])
 def test_hdn_matches_brute_force_randomized(rng, kind):
+    # every other trial rounds both maps to halves, so pred ties at the
+    # median ranks and gt contexts go degenerate
     sizes = (1, 2, 4)
-    for _ in range(15):
+    for trial in range(30):
         h, w = int(rng.integers(2, 10)), int(rng.integers(2, 10))
         pred, gt = random_pair(rng, h, w, mask_prob=0.2)
+        if trial % 2:
+            pred = DepthMap(np.round(2 * pred.values) / 2, pred.valid)
+            gt = DepthMap(np.round(2 * gt.values) / 2, gt.valid)
         cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
-        expect = ref_hdn_loss(pred.values.tolist(), gt.values.tolist(),
-                              pred.valid.tolist(), gt.valid.tolist(), h, w,
-                              kind, sizes)
+        args = (pred.values.tolist(), gt.values.tolist(), pred.valid.tolist(),
+                gt.valid.tolist(), h, w, kind, sizes)
+        expect = ref_hdn_loss(*args)
         if expect is None:
             with pytest.raises(DegenerateInputError):
                 hdn_loss(pred, gt, cfg)
         else:
-            report = hdn_loss(pred, gt, cfg)
+            report = hdn_loss(pred, gt, cfg, with_gradient=True)
             assert report.value == pytest.approx(expect, abs=1e-12)
             assert report.value >= 0
+            grad = np.array(ref_hdn_gradient(*args))
+            scale = max(np.abs(grad).max(), 1e-6)
+            assert np.abs(report.gradient - grad).max() <= 1e-9 * scale
 
 
 def test_hdn_per_level_breakdown(rng):
@@ -247,6 +255,26 @@ def test_hierarchy_memberships_cover_each_level(rng):
     for i in np.flatnonzero(gt.valid.ravel()):
         levels = [li for li, _ in per_pixel[i]]
         assert levels == [0, 1]
+
+
+def test_reused_config_matches_fresh_config(rng):
+    # the plan a LossConfig remembers must follow a new gt object and a
+    # new joint mask
+    pred, gt = random_pair(rng, 6, 7, mask_prob=0.2)
+    hier = build_hierarchy(gt, LevelSpec("depth_range", (1, 2, 4)))
+    cfg = LossConfig(hier)
+    hdn_loss(pred, gt, cfg, with_gradient=True)
+    gt2 = DepthMap(gt.values ** 2, gt.valid)
+    other = pred.valid.copy()
+    other.flat[np.flatnonzero(other)[:3]] = False
+    pred2 = DepthMap(pred.values, other)
+    for p, g in [(pred, gt2), (pred2, gt2), (pred, gt)]:
+        got = hdn_loss(p, g, cfg, with_gradient=True)
+        want = hdn_loss(p, g, LossConfig(hier), with_gradient=True)
+        assert got.value == want.value
+        assert got.per_level == want.per_level
+        assert got.used_pixels == want.used_pixels
+        assert np.array_equal(got.gradient, want.gradient)
 
 
 def test_used_pixels_counts_joint_mask(rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,10 +39,26 @@ def test_align_beats_grid_search(rng):
 
 
 def test_align_constant_pred_degenerate():
-    pred = DepthMap(np.full((2, 2), 3.0))
     gt = DepthMap(np.arange(4.0).reshape(2, 2))
-    with pytest.raises(DegenerateAlignmentError):
-        align_scale_shift(pred, gt)
+    for value in (3.0, 3e-300, 1e300):
+        pred = DepthMap(np.full((2, 2), value))
+        with pytest.raises(DegenerateAlignmentError):
+            align_scale_shift(pred, gt)
+
+
+@pytest.mark.parametrize("exp", [-60, 1000])
+def test_align_is_scale_free(rng, exp):
+    # a tiny pred is not constant, and one near the float limit must not
+    # overflow the normal-equation sums
+    pred, gt = random_pair(rng, 4, 4)
+    s, t = align_scale_shift(pred, gt)
+    scaled = DepthMap(np.ldexp(pred.values, exp), pred.valid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s2, t2 = align_scale_shift(scaled, gt)
+        report = evaluate(scaled, gt)
+    assert (s2, t2) == (np.ldexp(s, -exp), t)
+    assert report.absrel == evaluate(pred, gt).absrel
 
 
 def test_absrel_identity(rng):
