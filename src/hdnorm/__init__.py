@@ -14,19 +14,7 @@ from .contexts import (
     partition_dump,
     spatial_grid,
 )
-from .normalization import ContextStats, mad, median, normalize_context
-from .loss import (
-    LossConfig,
-    LossReport,
-    batch_ssi_loss,
-    hdn_gradient,
-    hdn_loss,
-    l1_plus_hdn,
-    local_only_loss,
-    numerical_gradient,
-    ssi_loss,
-    tie_mask,
-)
+from .loss import LossConfig, LossReport, hdn_loss, l1_plus_hdn, numerical_gradient, tie_mask
 from .metrics import EvalReport, absrel, align_scale_shift, delta1, evaluate, scatter_sample
 from .harness import (
     FitConfig,
@@ -35,6 +23,7 @@ from .harness import (
     compare_losses,
     fit_depth,
     generate_scene,
+    loss_config,
     standard_fixture,
 )
 

@@ -64,8 +64,6 @@ def cmd_loss(args) -> int:
                               args.eps, args.min_context)
     if args.lam is not None:
         report = loss_mod.l1_plus_hdn(pred, gt, cfg, args.lam)
-    elif args.kind == "ssi":
-        report = loss_mod.ssi_loss(pred, gt, eps=args.eps)
     else:
         report = loss_mod.hdn_loss(pred, gt, cfg)
     print(f"value: {report.value:.12g}")
@@ -82,7 +80,7 @@ def cmd_grad_check(args) -> int:
         raise HdnormError(f"step must be > 0, got {args.step}")
     cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels),
                               args.eps, args.min_context)
-    analytic = loss_mod.hdn_gradient(pred, gt, cfg)
+    analytic = loss_mod.hdn_loss(pred, gt, cfg, with_gradient=True).gradient
     numeric = loss_mod.numerical_gradient(pred, gt, cfg, step=args.step)
     tied = loss_mod.tie_mask(pred, gt, cfg)
     keep = (pred.valid & gt.valid) & ~tied
@@ -157,9 +155,7 @@ def _read_config(path: str, known: dict) -> dict:
             if key not in known:
                 raise HdnormError(f"{path}:{lineno}: unknown option {key!r}")
             template = known[key]
-            if isinstance(template, bool):
-                out[key] = value.lower() in ("1", "true", "yes")
-            elif isinstance(template, int):
+            if isinstance(template, int):
                 out[key] = int(value)
             elif isinstance(template, float):
                 out[key] = float(value)
@@ -189,9 +185,8 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _fit_config_from_args(args) -> FitConfig:
-    return FitConfig(loss_kind=args.loss_kind,
-                     level_sizes=_parse_levels(args.levels),
+def _fit_config(args, loss_kind: str, levels: str) -> FitConfig:
+    return FitConfig(loss_kind=loss_kind, level_sizes=_parse_levels(levels),
                      steps=args.steps, step_size=args.step_size,
                      init=args.init, seed=args.fit_seed,
                      eps=args.eps, min_context=args.min_context)
@@ -200,8 +195,9 @@ def _fit_config_from_args(args) -> FitConfig:
 def cmd_fit(args) -> int:
     spec = _scene_from_args(args)
     gt = harness.generate_scene(spec)
-    fitted, report = harness.fit_depth(gt, _fit_config_from_args(args),
-                                       foreground=spec.foreground)
+    fitted, report = harness.fit_depth(
+        gt, _fit_config(args, args.loss_kind, args.levels),
+        foreground=spec.foreground)
     if args.out:
         _write_atomic(args.out, lambda p: depth_core.write_pfm(fitted, p))
     print(f"final_loss: {report.final_loss:.12g}")
@@ -216,10 +212,7 @@ def cmd_compare(args) -> int:
     configs = []
     for item in args.loss:
         kind, _, levels = item.partition(":")
-        configs.append(FitConfig(
-            loss_kind=kind, level_sizes=_parse_levels(levels or "1"),
-            steps=args.steps, step_size=args.step_size, init=args.init,
-            seed=args.fit_seed, eps=args.eps, min_context=args.min_context))
+        configs.append(_fit_config(args, kind, levels or "1"))
     rows = harness.compare_losses(spec, configs)
     if args.csv:
         _write_atomic(args.csv, lambda p: open(p, "w").write(
@@ -228,11 +221,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _add_filter_flags(p) -> None:
+    p.add_argument("--eps", type=float, default=loss_mod.DEFAULT_EPS)
+    p.add_argument("--min-context", dest="min_context", type=int, default=2)
+
+
 def _add_loss_flags(p, with_lambda=False) -> None:
     p.add_argument("--kind", choices=harness.LOSS_KINDS, default="ssi")
     p.add_argument("--levels", default="1,2,4")
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--min-context", dest="min_context", type=int, default=2)
+    _add_filter_flags(p)
     if with_lambda:
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="if set, compute L1 + lambda * HDN")
@@ -250,8 +247,7 @@ def _add_fit_flags(p) -> None:
     p.add_argument("--step-size", dest="step_size", type=float, default=100.0)
     p.add_argument("--init", choices=harness.INIT_KINDS, default="noisy_gt")
     p.add_argument("--fit-seed", dest="fit_seed", type=int, default=7)
-    p.add_argument("--eps", type=float, default=1e-6)
-    p.add_argument("--min-context", dest="min_context", type=int, default=2)
+    _add_filter_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:

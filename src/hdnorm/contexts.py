@@ -21,22 +21,12 @@ KINDS = ("spatial", "depth_percentile", "depth_range")
 
 @dataclass(frozen=True)
 class Partition:
-    """One level's disjoint decomposition of the valid pixels.
-
-    contexts are arrays of linear indices; pixel_to_context maps every
-    covered pixel to its context id (-1 for uncovered pixels).
-    """
+    """One level's disjoint decomposition of the valid pixels; contexts
+    are arrays of linear indices."""
 
     level_tag: str
     contexts: tuple
     npixels: int
-
-    @property
-    def pixel_to_context(self) -> np.ndarray:
-        owner = np.full(self.npixels, -1, dtype=np.int64)
-        for cid, idx in enumerate(self.contexts):
-            owner[idx] = cid
-        return owner
 
 
 @dataclass(frozen=True)
@@ -44,16 +34,6 @@ class ContextHierarchy:
     """Ordered list of partitions; one per scale level."""
 
     levels: tuple
-
-    def memberships(self) -> list:
-        """Per-pixel list of (level index, context id) pairs, unfiltered."""
-        npix = self.levels[0].npixels
-        per_pixel = [[] for _ in range(npix)]
-        for li, part in enumerate(self.levels):
-            for cid, idx in enumerate(part.contexts):
-                for i in idx:
-                    per_pixel[i].append((li, cid))
-        return per_pixel
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ nonzero byte = valid) because NaN-in-PFM payloads are nonportable.
 
 from __future__ import annotations
 
-import struct
+import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, FormatError
+from .errors import EmptyInputError, FormatError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -62,12 +64,16 @@ class DepthMap:
             raise EmptyInputError("map has no valid pixels")
 
 
-def linearize(row: int, col: int, width: int) -> int:
-    return row * width + col
-
-
-def delinearize(linear: int, width: int) -> tuple[int, int]:
-    return divmod(linear, width)
+def joint_valid(pred: DepthMap, gt: DepthMap) -> np.ndarray:
+    """The mask of pixels valid in both maps, which must share their
+    shape and have at least one such pixel."""
+    if (pred.height, pred.width) != (gt.height, gt.width):
+        raise ShapeMismatchError(
+            f"pred {pred.height}x{pred.width} vs gt {gt.height}x{gt.width}")
+    joint = pred.valid & gt.valid
+    if not joint.any():
+        raise EmptyInputError("no jointly valid pixels")
+    return joint
 
 
 # ---------------------------------------------------------------------------
@@ -82,30 +88,23 @@ def read_pfm(path) -> DepthMap:
             raise FormatError("color PFM ('PF') not supported; expected grayscale 'Pf'")
         if header != "Pf":
             raise FormatError(f"bad PFM header {header!r}; expected 'Pf'")
-        dims = _read_token_line(f, "PFM", "dimensions").split()
-        if len(dims) != 2:
-            raise FormatError(f"bad PFM dimensions line {dims!r}")
-        try:
-            width, height = int(dims[0]), int(dims[1])
-        except ValueError as exc:
-            raise FormatError(f"bad PFM dimensions {dims!r}") from exc
-        if width < 1 or height < 1:
-            raise FormatError(f"bad PFM dimensions {width}x{height}")
-        scale_line = _read_token_line(f, "PFM", "scale")
-        try:
-            scale = float(scale_line)
-        except ValueError as exc:
-            raise FormatError(f"bad PFM scale {scale_line!r}") from exc
-        if scale == 0:
-            raise FormatError("PFM scale must be nonzero")
-        count = width * height
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
-            raise FormatError(f"truncated PFM payload: got {len(payload)} of {4 * count} bytes")
+        height, width, scale, payload = _read_raster(f, "PFM", "scale", _pfm_scale, 4)
     dtype = np.dtype("<f4" if scale < 0 else ">f4")
     data = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    if not np.isfinite(data).all():
+        raise FormatError("non-finite value in PFM payload")
     # rows are stored bottom-to-top
     return DepthMap(np.flipud(data).astype(np.float64))
+
+
+def _pfm_scale(line: str) -> float:
+    try:
+        scale = float(line)
+    except ValueError as exc:
+        raise FormatError(f"bad PFM scale {line!r}") from exc
+    if scale == 0 or not math.isfinite(scale):
+        raise FormatError(f"PFM scale must be finite and nonzero, got {line!r}")
+    return scale
 
 
 def write_pfm(map_: DepthMap, path) -> None:
@@ -133,6 +132,32 @@ def _read_token_line(f, fmt: str, what: str) -> str:
     return line.decode("ascii", errors="replace").strip()
 
 
+def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int):
+    """The rest of a PFM/PGM header after its magic line, and the payload:
+    the "<W> <H>" line, the `last` line (the PFM scale, the PGM maxval),
+    checked by parse_last, and W*H*itemsize payload bytes. No more than
+    the bytes left in a regular file are read, so no header can make the
+    reader allocate more than the file holds (a pipe's length is unknown
+    until it is read). Returns (height, width, parse_last(line), payload)."""
+    dims = _read_token_line(f, fmt, "dimensions").split()
+    if len(dims) != 2:
+        raise FormatError(f"bad {fmt} dimensions line {dims!r}")
+    try:
+        width, height = int(dims[0]), int(dims[1])
+    except ValueError as exc:
+        raise FormatError(f"bad {fmt} dimensions {dims!r}") from exc
+    if width < 1 or height < 1:
+        raise FormatError(f"bad {fmt} dimensions {width}x{height}")
+    parsed = parse_last(_read_token_line(f, fmt, last))
+    size = width * height * itemsize
+    st = os.fstat(f.fileno())
+    left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else size
+    payload = f.read(min(size, left))
+    if len(payload) != size:
+        raise FormatError(f"truncated {fmt} payload: got {len(payload)} of {size} bytes")
+    return height, width, parsed, payload
+
+
 # ---------------------------------------------------------------------------
 # PGM P5 masks
 
@@ -142,22 +167,13 @@ def read_mask(path) -> np.ndarray:
         magic = _read_token_line(f, "PGM", "header")
         if magic != "P5":
             raise FormatError(f"bad PGM header {magic!r}; expected 'P5'")
-        dims = _read_token_line(f, "PGM", "dimensions").split()
-        if len(dims) != 2:
-            raise FormatError(f"bad PGM dimensions line {dims!r}")
-        try:
-            width, height = int(dims[0]), int(dims[1])
-        except ValueError as exc:
-            raise FormatError(f"bad PGM dimensions {dims!r}") from exc
-        if width < 1 or height < 1:
-            raise FormatError(f"bad PGM dimensions {width}x{height}")
-        maxval = _read_token_line(f, "PGM", "maxval")
-        if maxval != "255":
-            raise FormatError(f"bad PGM maxval {maxval!r}; expected 255")
-        payload = f.read(width * height)
-        if len(payload) != width * height:
-            raise FormatError(f"truncated PGM payload: got {len(payload)} of {width * height} bytes")
+        height, width, _, payload = _read_raster(f, "PGM", "maxval", _pgm_maxval, 1)
     return (np.frombuffer(payload, dtype=np.uint8).reshape(height, width) != 0)
+
+
+def _pgm_maxval(line: str) -> None:
+    if line != "255":
+        raise FormatError(f"bad PGM maxval {line!r}; expected 255")
 
 
 def write_mask(mask: np.ndarray, path) -> None:
@@ -172,8 +188,11 @@ def write_mask(mask: np.ndarray, path) -> None:
 # CSV fixtures: comma-separated decimals, "nan" marks an invalid pixel.
 
 def read_csv_map(path) -> DepthMap:
-    with open(path, "r", encoding="ascii") as f:
-        text = f.read()
+    with open(path, "rb") as f:
+        try:
+            text = f.read().decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"non-ASCII byte in CSV map: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines = lines[:-1]
@@ -195,9 +214,12 @@ def read_csv_map(path) -> DepthMap:
                 vrow.append(False)
             else:
                 try:
-                    row.append(float(tok))
+                    value = float(tok)
                 except ValueError as exc:
                     raise FormatError(f"bad CSV cell {tok!r} in row {rownum}") from exc
+                if not math.isfinite(value):
+                    raise FormatError(f"non-finite CSV cell {tok!r} in row {rownum}")
+                row.append(value)
                 vrow.append(True)
         rows.append(row)
         valids.append(vrow)

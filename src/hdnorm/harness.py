@@ -13,21 +13,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contexts import LevelSpec, build_hierarchy
+from .contexts import ContextHierarchy, LevelSpec, build_hierarchy, global_context
 from .depth_core import DepthMap
 from .errors import DivergenceError, ParameterError
-from .loss import LossConfig, hdn_loss
+from .loss import DEFAULT_EPS, LossConfig, hdn_loss
 from .metrics import absrel, align_scale_shift
-from .normalization import DEFAULT_EPS
 
-# loss kind -> context kind of its levels; ssi is the single global level
+# loss kind -> context kind of its levels; ssi is the one global context
 _CONTEXT_KINDS = {
-    "ssi": "spatial",
     "hdn_s": "spatial",
     "hdn_dp": "depth_percentile",
     "hdn_dr": "depth_range",
 }
-LOSS_KINDS = tuple(_CONTEXT_KINDS)
+LOSS_KINDS = ("ssi",) + tuple(_CONTEXT_KINDS)
 INIT_KINDS = ("constant", "noisy_gt", "random")
 
 
@@ -125,13 +123,17 @@ def generate_scene(spec: SceneSpec) -> DepthMap:
     return DepthMap(values)
 
 
-def loss_config(gt: DepthMap, loss_kind: str, level_sizes: tuple,
-                eps: float, min_context: int) -> LossConfig:
+def loss_config(gt: DepthMap, loss_kind: str, level_sizes: tuple = (1,),
+                eps: float = DEFAULT_EPS, min_context: int = 2) -> LossConfig:
     """The LossConfig of a loss kind over gt; ssi ignores level_sizes."""
-    sizes = (1,) if loss_kind == "ssi" else level_sizes
-    spec = LevelSpec(_CONTEXT_KINDS[loss_kind], sizes)
-    return LossConfig(hierarchy=build_hierarchy(gt, spec),
-                      eps=eps, min_context=min_context)
+    if loss_kind not in LOSS_KINDS:
+        raise ParameterError(f"unknown loss kind {loss_kind!r}")
+    if loss_kind == "ssi":
+        hierarchy = ContextHierarchy((global_context(gt),))
+    else:
+        spec = LevelSpec(_CONTEXT_KINDS[loss_kind], level_sizes)
+        hierarchy = build_hierarchy(gt, spec)
+    return LossConfig(hierarchy=hierarchy, eps=eps, min_context=min_context)
 
 
 def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:

@@ -5,10 +5,13 @@ contexts, the absolute difference between the median/MAD-normalized
 prediction and ground truth. The outer mean runs over pixels that kept
 at least one context after filtering.
 
+SSI is the one-level case: a hierarchy of the single global context, or
+of batch_context's one context for batch SSI over concatenated maps.
+
 Context filtering: contexts with fewer than min_context joint-valid
-pixels are dropped (a singleton context normalizes to 0/0), and contexts
-whose ground-truth MAD is <= eps carry no relative-depth signal and are
-dropped when gt_degenerate_skip is set.
+pixels are dropped (a singleton context normalizes to 0/0), and so are
+contexts whose ground-truth MAD is <= eps, which carry no relative-depth
+signal.
 
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask: per level, the members of the surviving contexts
@@ -30,14 +33,15 @@ first, and the median derivative follows that rank.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .contexts import ContextHierarchy, LevelSpec, build_hierarchy
-from .depth_core import DepthMap
-from .errors import DegenerateInputError, EmptyInputError, ParameterError, ShapeMismatchError
-from .normalization import DEFAULT_EPS
+from .contexts import ContextHierarchy
+from .depth_core import DepthMap, joint_valid
+from .errors import DegenerateInputError, ParameterError
+
+DEFAULT_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class LossConfig:
     hierarchy: ContextHierarchy
     eps: float = DEFAULT_EPS
     min_context: int = 2
-    gt_degenerate_skip: bool = True
     # (gt, joint mask, plan) of the last evaluation, see _plan_for
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
@@ -86,16 +89,6 @@ class _Plan:
     weight: np.ndarray  # per map pixel: 1 / (used pixels * its count)
 
 
-def _check_pair(pred: DepthMap, gt: DepthMap) -> np.ndarray:
-    if (pred.height, pred.width) != (gt.height, gt.width):
-        raise ShapeMismatchError(
-            f"pred {pred.height}x{pred.width} vs gt {gt.height}x{gt.width}")
-    joint = pred.valid & gt.valid
-    if not joint.any():
-        raise EmptyInputError("no jointly valid pixels")
-    return joint
-
-
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
     size and gt-degeneracy rules reject, and flatten the rest."""
@@ -113,7 +106,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
             gvals = gf[idx]
             gm = np.median(gvals)
             gmad = np.mean(np.abs(gvals - gm))
-            if cfg.gt_degenerate_skip and gmad <= cfg.eps:
+            if gmad <= cfg.eps:
                 continue
             kept.append(idx)
             ngs.append((gvals - gm) / max(gmad, cfg.eps))
@@ -188,8 +181,11 @@ def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray, eps: float):
 
 def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
              with_gradient: bool = False) -> LossReport:
-    """Hierarchical loss over cfg.hierarchy (built from this gt)."""
-    plan = _plan_for(cfg, gt, _check_pair(pred, gt))
+    """Hierarchical loss over cfg.hierarchy (built from this gt). With
+    with_gradient set, the report also holds the analytical
+    d(loss)/d(pred) as an H x W array, zero at invalid pixels and at
+    pixels with no surviving context."""
+    plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf, stable=with_gradient)
     contrib = np.zeros(pf.size)
@@ -238,62 +234,12 @@ def _level_gradient(plan, lv, lo, hi, dev, mad, res, eps) -> np.ndarray:
     return grad
 
 
-def hdn_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
-    """Analytical d(loss)/d(pred) as an H x W array; zero at invalid
-    pixels and at pixels with no surviving context."""
-    return hdn_loss(pred, gt, cfg, with_gradient=True).gradient
-
-
-def ssi_loss(pred: DepthMap, gt: DepthMap, eps: float = DEFAULT_EPS) -> LossReport:
-    """Scale-and-shift invariant loss over the global joint-valid context."""
-    joint = _check_pair(pred, gt)
-    idx = np.flatnonzero(joint.ravel())
-    p = pred.values.ravel()[idx]
-    g = gt.values.ravel()[idx]
-    pm, gm = np.median(p), np.median(g)
-    pn = (p - pm) / max(np.mean(np.abs(p - pm)), eps)
-    gn = (g - gm) / max(np.mean(np.abs(g - gm)), eps)
-    value = float(np.mean(np.abs(pn - gn)))
-    return LossReport(value=value, gradient=None,
-                      per_level=[("global", value)], used_pixels=idx.size)
-
-
-def batch_ssi_loss(preds: Sequence[DepthMap], gts: Sequence[DepthMap],
-                   eps: float = DEFAULT_EPS) -> LossReport:
-    """SSI loss with a single context spanning all maps' joint-valid
-    pixels (batch-level normalization)."""
-    if not preds or len(preds) != len(gts):
-        raise EmptyInputError("batch_ssi_loss needs matching non-empty lists")
-    pvals, gvals = [], []
-    for pred, gt in zip(preds, gts):
-        joint = _check_pair(pred, gt)
-        idx = np.flatnonzero(joint.ravel())
-        pvals.append(pred.values.ravel()[idx])
-        gvals.append(gt.values.ravel()[idx])
-    p = np.concatenate(pvals)
-    g = np.concatenate(gvals)
-    pm, gm = np.median(p), np.median(g)
-    pn = (p - pm) / max(np.mean(np.abs(p - pm)), eps)
-    gn = (g - gm) / max(np.mean(np.abs(g - gm)), eps)
-    value = float(np.mean(np.abs(pn - gn)))
-    return LossReport(value=value, gradient=None,
-                      per_level=[("batch", value)], used_pixels=p.size)
-
-
-def local_only_loss(pred: DepthMap, gt: DepthMap, kind: str, S: int,
-                    eps: float = DEFAULT_EPS, min_context: int = 2) -> LossReport:
-    """hdn_loss with a single level of the given kind and size."""
-    hierarchy = build_hierarchy(gt, LevelSpec(kind, (S,)))
-    cfg = LossConfig(hierarchy=hierarchy, eps=eps, min_context=min_context)
-    return hdn_loss(pred, gt, cfg)
-
-
 def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
                 lam: float, with_gradient: bool = False) -> LossReport:
     """L1 regression loss plus lam times the hierarchical loss."""
     if lam < 0:
         raise ParameterError(f"lambda must be >= 0, got {lam}")
-    joint = _check_pair(pred, gt)
+    joint = joint_valid(pred, gt)
     idx = joint.ravel()
     diff = pred.values.ravel()[idx] - gt.values.ravel()[idx]
     l1 = float(np.mean(np.abs(diff)))
@@ -316,7 +262,7 @@ def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """Central finite differences of hdn_loss over the joint-valid pixels."""
     if step <= 0:
         raise ParameterError(f"finite-difference step must be > 0, got {step}")
-    joint = _check_pair(pred, gt)
+    joint = joint_valid(pred, gt)
     base = np.array(pred.values)
     grad = np.zeros_like(base)
     for r, c in zip(*np.nonzero(joint)):
@@ -334,7 +280,7 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """Pixels near a median/sign tie, where finite differences straddle a
     kink of the piecewise-smooth loss. Conservative: if any member of a
     context is within margin of a tie, the whole context is flagged."""
-    plan = _plan_for(cfg, gt, _check_pair(pred, gt))
+    plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf, stable=False)
     tied = np.zeros(pf.size, dtype=bool)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depth_core import DepthMap
-from .errors import DegenerateAlignmentError, EmptyInputError, ShapeMismatchError
+from .depth_core import DepthMap, joint_valid
+from .errors import DegenerateAlignmentError, EmptyInputError
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,7 @@ class EvalReport:
 
 
 def _joint_values(pred: DepthMap, gt: DepthMap):
-    if (pred.height, pred.width) != (gt.height, gt.width):
-        raise ShapeMismatchError(
-            f"pred {pred.height}x{pred.width} vs gt {gt.height}x{gt.width}")
-    joint = pred.valid & gt.valid
-    if not joint.any():
-        raise EmptyInputError("no jointly valid pixels")
+    joint = joint_valid(pred, gt)
     return pred.values[joint], gt.values[joint]
 
 
@@ -108,12 +103,7 @@ def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
 def scatter_sample(pred: DepthMap, gt: DepthMap, n: int, seed: int) -> list:
     """n joint-valid (pred, gt) pairs sampled without replacement with a
     seeded generator; all pairs in index order when n >= M."""
-    if (pred.height, pred.width) != (gt.height, gt.width):
-        raise ShapeMismatchError("scatter_sample shape mismatch")
-    joint = pred.valid & gt.valid
-    if not joint.any():
-        raise EmptyInputError("no jointly valid pixels")
-    idx = np.flatnonzero(joint.ravel())
+    idx = np.flatnonzero(joint_valid(pred, gt).ravel())
     if n < idx.size:
         rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(idx, size=n, replace=False))

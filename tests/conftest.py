@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hdnorm import DepthMap
+from hdnorm import ContextHierarchy, DepthMap, LossConfig, batch_context, hdn_loss, loss_config
 
 
 def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
@@ -22,6 +22,22 @@ def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
     if mask.sum() < 2:
         mask.flat[:2] = True
     return DepthMap(prv, mask), DepthMap(gtv, mask)
+
+
+def ssi(pred, gt):
+    """SSI: hdn_loss over the one global context of gt."""
+    return hdn_loss(pred, gt, loss_config(gt, "ssi"))
+
+
+def batch_ssi(preds, gts):
+    """Batch SSI: hdn_loss over batch_context's one context, on the pairs
+    flattened and concatenated into one row, which is the index space of
+    batch_context."""
+    def row(maps):
+        return DepthMap(np.concatenate([m.values.ravel() for m in maps])[None],
+                        np.concatenate([m.valid.ravel() for m in maps])[None])
+    cfg = LossConfig(ContextHierarchy((batch_context(gts),)))
+    return hdn_loss(row(preds), row(gts), cfg)
 
 
 @pytest.fixture

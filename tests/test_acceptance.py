@@ -12,23 +12,19 @@ from hdnorm import (
     FitConfig,
     LevelSpec,
     LossConfig,
-    batch_ssi_loss,
     build_hierarchy,
     compare_losses,
     depth_percentile_bins,
     depth_range_bins,
     global_context,
     batch_context,
-    hdn_gradient,
     hdn_loss,
-    local_only_loss,
     numerical_gradient,
     partition_dump,
     read_csv_map,
     read_mask,
     read_pfm,
     spatial_grid,
-    ssi_loss,
     standard_fixture,
     tie_mask,
     write_mask,
@@ -38,8 +34,8 @@ from hdnorm import (
     delta1,
 )
 
-from conftest import random_pair
-from oracles import ref_hdn_loss, ref_partition
+from conftest import batch_ssi, random_pair, ssi
+from oracles import ref_hdn_loss, ref_partition, ref_ssi_loss
 
 
 def report(name, ok, detail=""):
@@ -48,8 +44,9 @@ def report(name, ok, detail=""):
 
 
 def test_criterion_1_special_case_identity():
-    """hdn_loss with a single global level equals ssi_loss (1e-12,
-    100 seeded instances, sizes 1x4 .. 32x32, random masks, < 5 s)."""
+    """hdn_loss with a single global level, and the ssi loss kind, equal
+    the SSI oracle (1e-12, 100 seeded instances, sizes 1x4 .. 32x32,
+    random masks, < 5 s)."""
     t0 = time.monotonic()
     rng = np.random.default_rng(1001)
     worst = 0.0
@@ -58,8 +55,10 @@ def test_criterion_1_special_case_identity():
         w = int(rng.integers(4 if h == 1 else 1, 33))
         pred, gt = random_pair(rng, h, w, mask_prob=0.2)
         cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1,))))
-        diff = abs(hdn_loss(pred, gt, cfg).value - ssi_loss(pred, gt).value)
-        worst = max(worst, diff)
+        expect = ref_ssi_loss(pred.values.tolist(), gt.values.tolist(),
+                              pred.valid.tolist(), gt.valid.tolist(), h, w)
+        for got in (hdn_loss(pred, gt, cfg), ssi(pred, gt)):
+            worst = max(worst, abs(got.value - expect))
     elapsed = time.monotonic() - t0
     report("criterion 1: single-level identity",
            worst < 1e-12 and elapsed < 5,
@@ -76,11 +75,11 @@ def test_criterion_2_affine_invariance():
                ("depth_percentile", (1, 2, 4)),
                ("depth_range", (1, 2, 4))]
     pred, gt = random_pair(rng, 16, 16, mask_prob=0.1)
-    base_ssi = ssi_loss(pred, gt).value
+    base_ssi = ssi(pred, gt).value
     for a in (0.5, 2, 10):
         for b in (-5, 0, 3):
             shifted = DepthMap(a * pred.values + b, pred.valid)
-            worst = max(worst, abs(ssi_loss(shifted, gt).value - base_ssi))
+            worst = max(worst, abs(ssi(shifted, gt).value - base_ssi))
     for kind, sizes in configs:
         cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
         base = hdn_loss(pred, gt, cfg).value
@@ -95,8 +94,9 @@ def test_criterion_2_affine_invariance():
 
 
 def test_criterion_3_brute_force_oracle_equivalence():
-    """hdn_loss and local_only_loss match the from-the-definitions
-    oracle within 1e-12, 50 instances <= 16x16 per kind (< 30 s)."""
+    """hdn_loss over three levels and over one level matches the
+    from-the-definitions oracle within 1e-12, 50 instances <= 16x16 per
+    kind (< 30 s)."""
     t0 = time.monotonic()
     rng = np.random.default_rng(1003)
     worst = 0.0
@@ -117,7 +117,8 @@ def test_criterion_3_brute_force_oracle_equivalence():
                                     pred.valid.tolist(), gt.valid.tolist(),
                                     h, w, kind, (s_local,))
             if expect_l is not None:
-                got_l = local_only_loss(pred, gt, kind, s_local).value
+                cfg_l = LossConfig(build_hierarchy(gt, LevelSpec(kind, (s_local,))))
+                got_l = hdn_loss(pred, gt, cfg_l).value
                 worst = max(worst, abs(got_l - expect_l))
     elapsed = time.monotonic() - t0
     report("criterion 3: brute-force oracle equivalence",
@@ -173,7 +174,7 @@ def test_criterion_5_gradient_checks():
         for trial in range(20):
             pred, gt = random_pair(rng, 5, 5, mask_prob=0.1)
             cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
-            analytic = hdn_gradient(pred, gt, cfg)
+            analytic = hdn_loss(pred, gt, cfg, with_gradient=True).gradient
             numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
             keep = (pred.valid & gt.valid) & ~tie_mask(pred, gt, cfg)
             if not keep.any():
@@ -235,16 +236,16 @@ def test_criterion_7_detail_preservation_ab():
 
 
 def test_criterion_8_batch_failure_mode():
-    """Mismatched affine factors: batch_ssi_loss > 0.1 while per-pair
-    ssi_loss = 0 (< 1 s)."""
+    """Mismatched affine factors: batch SSI (one batch context over the
+    concatenated pairs) > 0.1 while per-pair SSI = 0 (< 1 s)."""
     t0 = time.monotonic()
     gt1 = DepthMap(np.array([[1.0, 2.0]]))
     gt2 = DepthMap(np.array([[1.0, 2.0]]))
     pred1 = DepthMap(1.0 * gt1.values)
     pred2 = DepthMap(10.0 * gt2.values)
-    per1 = ssi_loss(pred1, gt1).value
-    per2 = ssi_loss(pred2, gt2).value
-    batch = batch_ssi_loss([pred1, pred2], [gt1, gt2]).value
+    per1 = ssi(pred1, gt1).value
+    per2 = ssi(pred2, gt2).value
+    batch = batch_ssi([pred1, pred2], [gt1, gt2]).value
     elapsed = time.monotonic() - t0
     report("criterion 8: batch failure mode",
            per1 == 0 and per2 == 0 and batch > 0.1 and elapsed < 1,

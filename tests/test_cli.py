@@ -60,6 +60,34 @@ def test_loss_shape_mismatch_exit2(capsys, fixture_files, tmp_path):
     assert rc == 2
 
 
+def test_loss_ssi_constant_gt_exit2(capsys, fixture_files, tmp_path):
+    # ssi filters a degenerate gt context like every other loss kind
+    pp, _, _ = fixture_files
+    const = tmp_path / "const.pfm"
+    write_pfm(DepthMap(np.full((2, 2), 3.0)), const)
+    rc, out, err = run(capsys, "loss", pp, str(const), "--kind", "ssi")
+    assert rc == 2
+    assert out == ""
+    assert "all contexts filtered out" in err
+
+
+@pytest.mark.parametrize("fmt,blob", [
+    ("PFM", b"Pf\n100000 100000\n-1.0\n\0"),
+    ("PGM", b"P5\n200000 200000\n255\n\0"),
+])
+def test_loss_oversized_dimensions_exit2(capsys, fixture_files, tmp_path, fmt, blob):
+    # the declared payload is far larger than the file: a FormatError,
+    # raised before the payload is read
+    pp, gp, _ = fixture_files
+    bad = tmp_path / "huge"
+    bad.write_bytes(blob)
+    argv = [pp, gp, "--gt-mask", str(bad)] if fmt == "PGM" else [str(bad), gp]
+    rc, out, err = run(capsys, "loss", *argv)
+    assert rc == 2
+    assert out == ""
+    assert f"truncated {fmt} payload" in err
+
+
 def test_grad_check_step_zero_exit2(capsys, fixture_files):
     pp, gp, _ = fixture_files
     rc, _, err = run(capsys, "grad-check", pp, gp, "--step", "0")

@@ -165,13 +165,12 @@ def test_partition_dump_dp():
 
 
 def test_pixel_to_context_consistency(rng):
+    # the contexts are non-empty, disjoint, and cover the valid pixels
     gt = DepthMap(rng.normal(size=(6, 7)), rng.random((6, 7)) > 0.3)
     p = depth_range_bins(gt, 3)
-    owner = p.pixel_to_context
-    for cid, ctx in enumerate(p.contexts):
-        assert (owner[ctx] == cid).all()
-    covered = np.concatenate(p.contexts)
-    assert set(covered) == set(np.flatnonzero(gt.valid.ravel()))
+    assert all(ctx.size > 0 for ctx in p.contexts)
+    covered = np.sort(np.concatenate(p.contexts))
+    assert np.array_equal(covered, np.flatnonzero(gt.valid.ravel()))
 
 
 # --- brute-force oracle equivalence and invariants ---

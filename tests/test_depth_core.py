@@ -1,13 +1,13 @@
+import os
 import struct
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdnorm import DepthMap, read_csv_map, read_mask, read_pfm, write_mask, write_pfm
-from hdnorm.depth_core import delinearize, linearize
 from hdnorm.errors import FormatError
 
 
@@ -25,12 +25,6 @@ def test_depthmap_is_immutable():
     m = DepthMap(np.array([[1.0]]))
     with pytest.raises(ValueError):
         m.values[0, 0] = 2.0
-
-
-def test_linearize_roundtrip():
-    for r in range(5):
-        for c in range(7):
-            assert delinearize(linearize(r, c, 7), 7) == (r, c)
 
 
 # --- PFM ---
@@ -189,6 +183,55 @@ def test_mask_bad_dimensions(tmp_path, dims):
     with pytest.raises(FormatError, match="PGM dimensions"):
         read_mask(p)
 
+
+@pytest.mark.parametrize("reader,fmt,blob", [
+    (read_pfm, "PFM", b"Pf\n100000 100000\n-1.0\n\0"),
+    (read_mask, "PGM", b"P5\n200000 200000\n255\n\0"),
+])
+def test_oversized_dimensions_rejected(tmp_path, reader, fmt, blob):
+    # the declared size is checked against the file before any payload
+    # buffer is allocated
+    p = tmp_path / "huge"
+    p.write_bytes(blob)
+    t0 = time.monotonic()
+    with pytest.raises(FormatError, match=f"truncated {fmt} payload: got 1 of"):
+        reader(p)
+    assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pfm_from_pipe():
+    # a pipe has no size to check in advance, so it is read as a stream
+    blob = b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, 2.0)
+    for data, ok in ((blob, True), (blob[:-1], False)):
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            if ok:
+                assert read_pfm(f"/dev/fd/{r}").values.tolist() == [[1.0, 2.0]]
+            else:
+                with pytest.raises(FormatError, match="truncated PFM payload: got 7 of 8"):
+                    read_pfm(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+
+
+@pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"1e999"])
+def test_pfm_non_finite_scale(tmp_path, scale):
+    p = tmp_path / "s.pfm"
+    p.write_bytes(b"Pf\n1 1\n" + scale + b"\n" + b"\0" * 4)
+    with pytest.raises(FormatError, match="PFM scale"):
+        read_pfm(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pfm_non_finite_value(tmp_path, value):
+    p = tmp_path / "v.pfm"
+    p.write_bytes(b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, value))
+    with pytest.raises(FormatError, match="non-finite"):
+        read_pfm(p)
+
 # --- CSV ---
 
 def test_csv_all_valid(tmp_path):
@@ -220,3 +263,112 @@ def test_csv_ragged_reports_row(tmp_path):
     p.write_text("1,2\n3")
     with pytest.raises(FormatError, match="row 1"):
         read_csv_map(p)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-Infinity", "1e999", "-nan"])
+def test_csv_non_finite_cell(tmp_path, cell):
+    # only the exact "nan" marker means invalid; other non-finite cells
+    # are malformed
+    p = tmp_path / "m.csv"
+    p.write_text(f"1,{cell}")
+    with pytest.raises(FormatError, match="non-finite CSV cell"):
+        read_csv_map(p)
+
+
+def test_csv_non_ascii(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes("1,2\n3,\u00b74".encode("utf-8"))
+    with pytest.raises(FormatError, match="non-ASCII"):
+        read_csv_map(p)
+
+
+# --- fuzzing: garbled or truncated files raise FormatError within 1 s ---
+
+READERS = {"pfm": read_pfm, "pgm": read_mask, "csv": read_csv_map}
+# bytes that make any CSV cell they enter unparseable: no digit, sign,
+# point, separator or whitespace, nor a letter of "nan", "inf",
+# "infinity" or an exponent
+BAD_CSV_BYTES = [bytes([b]) for b in b"bcdghjkmopqrsuvwxzBCDGHJ#@!?%&*"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def rejected_fast(path, fmt, blob):
+    path.write_bytes(blob)
+    t0 = time.monotonic()
+    with pytest.raises(FormatError):
+        READERS[fmt](path)
+    assert time.monotonic() - t0 < 1.0
+
+
+def raster_file(draw, fmt):
+    """(header, payload) of a well-formed PFM or PGM file of up to 4x4."""
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if fmt == "pfm":
+        vals = draw(st.lists(st.floats(-1e3, 1e3, width=32),
+                             min_size=h * w, max_size=h * w))
+        return f"Pf\n{w} {h}\n-1.0\n".encode(), struct.pack(f"<{h * w}f", *vals)
+    return f"P5\n{w} {h}\n255\n".encode(), draw(st.binary(min_size=h * w, max_size=h * w))
+
+
+def csv_text(draw, min_rows, min_cols):
+    """A well-formed CSV map without a trailing newline."""
+    h, w = draw(st.integers(min_rows, 4)), draw(st.integers(min_cols, 4))
+    cell = st.one_of(st.just("nan"), st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    return "\n".join(",".join(draw(cell) for _ in range(w)) for _ in range(h))
+
+
+@pytest.mark.parametrize("fmt", ["pfm", "pgm", "csv"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reader_fuzz_truncated(fuzz_path, fmt, data):
+    draw = data.draw
+    if fmt == "csv":
+        # cut inside the last row, before its last comma: too few cells
+        text = csv_text(draw, 2, 2)
+        cut = draw(st.integers(text.rindex("\n") + 2, text.rindex(",")))
+        blob = text[:cut].encode()
+    else:
+        header, payload = raster_file(draw, fmt)
+        blob = (header + payload)[:draw(st.integers(0, len(header + payload) - 1))]
+    rejected_fast(fuzz_path, fmt, blob)
+
+
+@pytest.mark.parametrize("fmt", ["pfm", "pgm", "csv"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reader_fuzz_garbled(fuzz_path, fmt, data):
+    draw = data.draw
+    if fmt == "csv":
+        blob = csv_text(draw, 1, 1).encode()
+        pos = draw(st.integers(0, len(blob)))
+        bad = draw(st.one_of(st.sampled_from(BAD_CSV_BYTES),
+                             st.integers(0x80, 0xFF).map(lambda b: bytes([b]))))
+        rejected_fast(fuzz_path, fmt, blob[:pos] + bad + blob[pos:])
+        return
+    magic = b"Pf" if fmt == "pfm" else b"P5"
+    header, payload = raster_file(draw, fmt)
+    hows = ["header", "dimensions", "noise"] + (["payload"] if fmt == "pfm" else [])
+    how = draw(st.sampled_from(hows))
+    if how == "header":
+        # a non-ASCII byte anywhere in the header spoils the line it lands in
+        pos = draw(st.integers(0, len(header) - 1))
+        byte = bytes([draw(st.integers(0x80, 0xFF))])
+        blob = header[:pos] + byte + header[pos + 1:] + payload
+    elif how == "payload":
+        i = draw(st.integers(0, len(payload) // 4 - 1))
+        value = struct.pack("<f", draw(st.sampled_from([np.nan, np.inf, -np.inf])))
+        blob = header + payload[:4 * i] + value + payload[4 * i + 4:]
+    elif how == "noise":
+        # random bytes whose first line cannot be the magic
+        blob = draw(st.binary(max_size=300))
+        assume(b"P" not in blob.split(b"\n", 1)[0])
+    else:
+        # dimensions whose payload exceeds the 64 bytes that follow
+        w, h = draw(st.integers(65, 10**12)), draw(st.integers(1, 10**12))
+        last = b"-1.0" if fmt == "pfm" else b"255"
+        blob = b"%s\n%d %d\n%s\n" % (magic, w, h, last) + draw(st.binary(max_size=64))
+    rejected_fast(fuzz_path, fmt, blob)

@@ -65,6 +65,11 @@ def test_fit_config_validation():
         FitConfig("ssi", init="bogus")
 
 
+def test_loss_config_unknown_kind():
+    with pytest.raises(ParameterError, match="unknown loss kind"):
+        loss_config(generate_scene(small_fixture()), "nope")
+
+
 def test_fit_at_gt_is_fixed_point(monkeypatch):
     spec = small_fixture()
     gt = generate_scene(spec)

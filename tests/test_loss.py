@@ -5,12 +5,9 @@ from hdnorm import (
     DepthMap,
     LevelSpec,
     LossConfig,
-    batch_ssi_loss,
     build_hierarchy,
     hdn_loss,
     l1_plus_hdn,
-    local_only_loss,
-    ssi_loss,
 )
 from hdnorm.errors import (
     DegenerateInputError,
@@ -19,7 +16,7 @@ from hdnorm.errors import (
     ShapeMismatchError,
 )
 
-from conftest import random_pair
+from conftest import batch_ssi, random_pair, ssi
 from oracles import ref_hdn_gradient, ref_hdn_loss, ref_ssi_loss
 
 
@@ -27,15 +24,19 @@ def global_cfg(gt, **kw):
     return LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1,))), **kw)
 
 
+def single_level_cfg(gt, kind, s):
+    return LossConfig(build_hierarchy(gt, LevelSpec(kind, (s,))))
+
+
 def test_ssi_zero_for_identical():
     gt = DepthMap(np.array([[1.0, 2.0], [4.0, 3.0]]))
-    assert ssi_loss(gt, gt).value == 0
+    assert ssi(gt, gt).value == 0
 
 
 def test_ssi_zero_for_affine():
     gt = DepthMap(np.array([[1.0, 2.0], [4.0, 3.0]]))
     pred = DepthMap(2 * gt.values + 3)
-    assert ssi_loss(pred, gt).value == pytest.approx(0, abs=1e-12)
+    assert ssi(pred, gt).value == pytest.approx(0, abs=1e-12)
 
 
 def test_ssi_matches_hand_oracle():
@@ -43,27 +44,30 @@ def test_ssi_matches_hand_oracle():
     gt = DepthMap(np.array([[1.0, 2.0, 4.0, 3.0]]))
     expect = ref_ssi_loss(pred.values.tolist(), gt.values.tolist(),
                           pred.valid.tolist(), gt.valid.tolist(), 1, 4)
-    assert ssi_loss(pred, gt).value == pytest.approx(expect, abs=1e-12)
+    report = ssi(pred, gt)
+    assert report.value == pytest.approx(expect, abs=1e-12)
+    assert report.per_level == [("global", report.value)]
 
 
 def test_ssi_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        ssi_loss(DepthMap(np.ones((1, 2))), DepthMap(np.ones((2, 1))))
+        ssi(DepthMap(np.ones((1, 2))), DepthMap(np.ones((2, 1))))
 
 
 def test_ssi_empty_joint_mask():
     a = DepthMap(np.ones((1, 2)), np.array([[True, False]]))
     b = DepthMap(np.ones((1, 2)), np.array([[False, True]]))
     with pytest.raises(EmptyInputError):
-        ssi_loss(a, b)
+        ssi(a, b)
 
 
 def test_hdn_single_global_level_equals_ssi(rng):
     for _ in range(25):
         pred, gt = random_pair(rng, 5, 6, mask_prob=0.2)
-        cfg = global_cfg(gt)
-        assert hdn_loss(pred, gt, cfg).value == pytest.approx(
-            ssi_loss(pred, gt).value, abs=1e-12)
+        expect = ref_ssi_loss(pred.values.tolist(), gt.values.tolist(),
+                              pred.valid.tolist(), gt.valid.tolist(), 5, 6)
+        assert hdn_loss(pred, gt, global_cfg(gt)).value == pytest.approx(
+            expect, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind,sizes", [
@@ -144,14 +148,14 @@ def test_min_context_validation(rng):
 
 def test_local_only_spatial_s1_equals_ssi(rng):
     pred, gt = random_pair(rng, 4, 5)
-    assert local_only_loss(pred, gt, "spatial", 1).value == pytest.approx(
-        ssi_loss(pred, gt).value, abs=1e-12)
+    local = hdn_loss(pred, gt, single_level_cfg(gt, "spatial", 1))
+    assert local.value == pytest.approx(ssi(pred, gt).value, abs=1e-12)
 
 
 def test_local_only_singleton_bins_degenerate(rng):
     pred, gt = random_pair(rng, 2, 3)
     with pytest.raises(DegenerateInputError):
-        local_only_loss(pred, gt, "depth_percentile", 6)
+        hdn_loss(pred, gt, single_level_cfg(gt, "depth_percentile", 6))
 
 
 def test_local_only_dr_matches_oracle():
@@ -160,20 +164,21 @@ def test_local_only_dr_matches_oracle():
     expect = ref_hdn_loss(pred.values.tolist(), gt.values.tolist(),
                           pred.valid.tolist(), gt.valid.tolist(), 1, 8,
                           "depth_range", (2,))
-    assert local_only_loss(pred, gt, "depth_range", 2).value == pytest.approx(
-        expect, abs=1e-12)
+    local = hdn_loss(pred, gt, single_level_cfg(gt, "depth_range", 2))
+    assert local.value == pytest.approx(expect, abs=1e-12)
 
 
 def test_batch_singleton_equals_ssi(rng):
-    pred, gt = random_pair(rng, 3, 4)
-    assert batch_ssi_loss([pred], [gt]).value == pytest.approx(
-        ssi_loss(pred, gt).value, abs=1e-12)
+    pred, gt = random_pair(rng, 3, 4, mask_prob=0.2)
+    batch = batch_ssi([pred], [gt])
+    assert batch.value == pytest.approx(ssi(pred, gt).value, abs=1e-12)
+    assert batch.per_level == [("batch", batch.value)]
 
 
 def test_batch_duplicated_pair_equals_single(rng):
-    pred, gt = random_pair(rng, 3, 4)
-    assert batch_ssi_loss([pred, pred], [gt, gt]).value == pytest.approx(
-        ssi_loss(pred, gt).value, abs=1e-12)
+    pred, gt = random_pair(rng, 3, 4, mask_prob=0.2)
+    assert batch_ssi([pred, pred], [gt, gt]).value == pytest.approx(
+        ssi(pred, gt).value, abs=1e-12)
 
 
 def test_batch_mismatched_affine_factors_fail_mode():
@@ -182,9 +187,9 @@ def test_batch_mismatched_affine_factors_fail_mode():
     gt2 = DepthMap(np.array([[1.0, 2.0]]))
     pred1 = DepthMap(1.0 * gt1.values)
     pred2 = DepthMap(10.0 * gt2.values)
-    assert ssi_loss(pred1, gt1).value == pytest.approx(0, abs=1e-12)
-    assert ssi_loss(pred2, gt2).value == pytest.approx(0, abs=1e-12)
-    assert batch_ssi_loss([pred1, pred2], [gt1, gt2]).value > 0.1
+    assert ssi(pred1, gt1).value == pytest.approx(0, abs=1e-12)
+    assert ssi(pred2, gt2).value == pytest.approx(0, abs=1e-12)
+    assert batch_ssi([pred1, pred2], [gt1, gt2]).value > 0.1
 
 
 def test_l1_lambda_zero_is_plain_l1(rng):
@@ -249,12 +254,13 @@ def test_fine_level_amplifies_local_noise():
 
 
 def test_hierarchy_memberships_cover_each_level(rng):
-    _, gt = random_pair(rng, 4, 4)
+    # every valid pixel lies in exactly one context of every level
+    _, gt = random_pair(rng, 4, 4, mask_prob=0.2)
     hier = build_hierarchy(gt, LevelSpec("depth_range", (1, 2)))
-    per_pixel = hier.memberships()
-    for i in np.flatnonzero(gt.valid.ravel()):
-        levels = [li for li, _ in per_pixel[i]]
-        assert levels == [0, 1]
+    assert len(hier.levels) == 2
+    for part in hier.levels:
+        members = np.sort(np.concatenate(part.contexts))
+        assert np.array_equal(members, np.flatnonzero(gt.valid.ravel()))
 
 
 def test_reused_config_matches_fresh_config(rng):
