@@ -6,13 +6,9 @@ from .contexts import (
     ContextHierarchy,
     LevelSpec,
     Partition,
-    batch_context,
     build_hierarchy,
-    depth_percentile_bins,
-    depth_range_bins,
     global_context,
     partition_dump,
-    spatial_grid,
 )
 from .loss import LossConfig, LossReport, hdn_loss, l1_plus_hdn, numerical_gradient, tie_mask
 from .metrics import EvalReport, absrel, align_scale_shift, delta1, evaluate, scatter_sample

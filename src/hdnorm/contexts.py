@@ -1,4 +1,4 @@
-"""Normalization contexts: global, batch, spatial grids, depth-value bins.
+"""Normalization contexts: the global context, spatial grids, depth-value bins.
 
 A context is a set of linear pixel indices that share normalization
 statistics. Depth-domain contexts are always computed from the ground
@@ -9,12 +9,11 @@ identical index sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .depth_core import DepthMap
-from .errors import EmptyInputError, ParameterError
+from .errors import ParameterError
 
 KINDS = ("spatial", "depth_percentile", "depth_range")
 
@@ -22,11 +21,10 @@ KINDS = ("spatial", "depth_percentile", "depth_range")
 @dataclass(frozen=True)
 class Partition:
     """One level's disjoint decomposition of the valid pixels; contexts
-    are arrays of linear indices."""
+    are ascending arrays of linear indices."""
 
     level_tag: str
     contexts: tuple
-    npixels: int
 
 
 @dataclass(frozen=True)
@@ -61,108 +59,63 @@ def _valid_linear(map_: DepthMap) -> np.ndarray:
 
 def global_context(map_: DepthMap) -> Partition:
     """Single context over all valid pixels."""
-    idx = _valid_linear(map_)
-    return Partition("global", (idx,), map_.height * map_.width)
+    return Partition("global", (_valid_linear(map_),))
 
 
-def batch_context(maps: Sequence[DepthMap]) -> Partition:
-    """One context spanning all valid pixels of all maps.
+def _key_function(gt: DepthMap, idx: np.ndarray, kind: str):
+    """S -> the context key of each valid pixel idx; the work that depends
+    only on gt is done here, once per hierarchy.
 
-    Pixel indices live in the concatenated pixel space, offset by each
-    map's base offset.
+    spatial: pixel (r, c) lands in cell (floor(r*S/H), floor(c*S/W)).
+    depth_percentile: pixels ranked by (gt value, linear index) are split
+    into S contiguous runs, sizes differing by at most one with the larger
+    runs first. depth_range: S equal-width bins over [min, max] of the gt
+    values, the maximum clamped into the last bin.
     """
-    if not maps:
-        raise EmptyInputError("batch_context needs at least one map")
-    pieces, base = [], 0
-    for m in maps:
-        pieces.append(_valid_linear(m) + base)
-        base += m.height * m.width
-    return Partition("batch", (np.concatenate(pieces),), base)
-
-
-def spatial_grid(map_: DepthMap, S: int) -> Partition:
-    """S x S grid over the image plane; pixel (r, c) lands in cell
-    (floor(r*S/H), floor(c*S/W)). Empty cells are dropped."""
-    S = _check_s(S)
-    idx = _valid_linear(map_)
-    H, W = map_.height, map_.width
-    rows, cols = np.divmod(idx, W)
-    cell = (rows * S) // H * S + (cols * S) // W
-    contexts = _group_by(idx, cell)
-    return Partition(f"spatial-{S}", contexts, H * W)
-
-
-def depth_percentile_bins(gt: DepthMap, S: int) -> Partition:
-    """Equal-count bins: valid pixels sorted by (gt value, linear index)
-    and split into S contiguous runs, sizes differing by at most one with
-    the larger runs first."""
-    S = _check_s(S)
-    idx = _valid_linear(gt)
+    if kind == "spatial":
+        H, W = gt.height, gt.width
+        rows, cols = np.divmod(idx, W)
+        return lambda S: (rows * S) // H * S + (cols * S) // W
     vals = gt.values.ravel()[idx]
-    order = np.lexsort((idx, vals))
-    ranked = idx[order]
-    M = ranked.size
-    q, rem = divmod(M, S)
-    sizes = [q + 1] * rem + [q] * (S - rem)
-    contexts, pos = [], 0
-    for n in sizes:
-        if n == 0:
-            continue
-        contexts.append(np.sort(ranked[pos:pos + n]))
-        pos += n
-    return Partition(f"depth_percentile-{S}", tuple(contexts), gt.height * gt.width)
+    if kind == "depth_percentile":
+        order = np.argsort(vals, kind="stable")  # idx ascending: ties by index
 
-
-def depth_range_bins(gt: DepthMap, S: int) -> Partition:
-    """Equal-width bins over [min, max] of the valid gt values; the
-    maximum is clamped into the last bin; empty bins are dropped."""
-    S = _check_s(S)
-    idx = _valid_linear(gt)
-    vals = gt.values.ravel()[idx]
+        def runs(S):
+            q, rem = divmod(idx.size, S)
+            key = np.empty(idx.size, dtype=np.int64)
+            key[order] = np.repeat(np.arange(S), q + (np.arange(S) < rem))
+            return key
+        return runs
     lo, hi = vals.min(), vals.max()
     if hi == lo:
-        binno = np.zeros(idx.shape, dtype=np.int64)
-    else:
-        w = (hi - lo) / S
-        binno = np.minimum(np.floor((vals - lo) / w).astype(np.int64), S - 1)
-    contexts = _group_by(idx, binno)
-    return Partition(f"depth_range-{S}", contexts, gt.height * gt.width)
-
-
-_BUILDERS = {
-    "spatial": spatial_grid,
-    "depth_percentile": depth_percentile_bins,
-    "depth_range": depth_range_bins,
-}
+        return lambda S: np.zeros(idx.shape, dtype=np.int64)
+    return lambda S: np.minimum(
+        np.floor((vals - lo) / ((hi - lo) / S)).astype(np.int64), S - 1)
 
 
 def build_hierarchy(gt: DepthMap, spec: LevelSpec) -> ContextHierarchy:
-    """One partition per size in spec.sizes, all of spec.kind."""
-    builder = _BUILDERS[spec.kind]
-    return ContextHierarchy(tuple(builder(gt, s) for s in spec.sizes))
+    """One partition per size in spec.sizes, all of spec.kind; keys with
+    no pixel give no context."""
+    idx = _valid_linear(gt)
+    key = _key_function(gt, idx, spec.kind)
+    return ContextHierarchy(tuple(
+        Partition(f"{spec.kind}-{S}", _group_by(idx, key(S))) for S in spec.sizes))
 
 
 def partition_dump(p: Partition) -> str:
     """Deterministic listing for golden tests: contexts ordered by
     smallest member, one line per context."""
-    ordered = sorted(p.contexts, key=lambda idx: int(idx.min()))
+    ordered = sorted(p.contexts, key=lambda idx: int(idx[0]))
     lines = []
     for k, idx in enumerate(ordered):
-        members = " ".join(str(int(i)) for i in np.sort(idx))
+        members = " ".join(str(int(i)) for i in idx)
         lines.append(f"ctx{k}: {members}")
     return "\n".join(lines)
 
 
-def _check_s(S) -> int:
-    S = int(S)
-    if S < 1:
-        raise ParameterError(f"grid/bin count must be >= 1, got {S}")
-    return S
-
-
 def _group_by(idx: np.ndarray, key: np.ndarray) -> tuple:
-    """Split idx into per-key groups, ordered by key; groups stay sorted."""
+    """Split ascending idx into per-key groups, ordered by key; the stable
+    sort keeps each group ascending."""
     order = np.argsort(key, kind="stable")
-    sidx, skey = idx[order], key[order]
-    cuts = np.flatnonzero(np.diff(skey)) + 1
-    return tuple(np.sort(g) for g in np.split(sidx, cuts))
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    return tuple(np.split(idx[order], cuts))

@@ -5,8 +5,8 @@ contexts, the absolute difference between the median/MAD-normalized
 prediction and ground truth. The outer mean runs over pixels that kept
 at least one context after filtering.
 
-SSI is the one-level case: a hierarchy of the single global context, or
-of batch_context's one context for batch SSI over concatenated maps.
+SSI is the one-level case: a hierarchy of the single global context.
+Batch SSI is SSI on the maps concatenated into one.
 
 Context filtering: contexts with fewer than min_context joint-valid
 pixels are dropped (a singleton context normalizes to 0/0), and so are

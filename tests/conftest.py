@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hdnorm import ContextHierarchy, DepthMap, LossConfig, batch_context, hdn_loss, loss_config
+from hdnorm import DepthMap, hdn_loss, loss_config
 
 
 def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
@@ -29,15 +29,18 @@ def ssi(pred, gt):
     return hdn_loss(pred, gt, loss_config(gt, "ssi"))
 
 
+def row(maps):
+    """The maps flattened and concatenated into one 1-row map: the pixel
+    space of a batch, with map k's pixels offset by the sizes of maps
+    0..k-1."""
+    return DepthMap(np.concatenate([m.values.ravel() for m in maps])[None],
+                    np.concatenate([m.valid.ravel() for m in maps])[None])
+
+
 def batch_ssi(preds, gts):
-    """Batch SSI: hdn_loss over batch_context's one context, on the pairs
-    flattened and concatenated into one row, which is the index space of
-    batch_context."""
-    def row(maps):
-        return DepthMap(np.concatenate([m.values.ravel() for m in maps])[None],
-                        np.concatenate([m.valid.ravel() for m in maps])[None])
-    cfg = LossConfig(ContextHierarchy((batch_context(gts),)))
-    return hdn_loss(row(preds), row(gts), cfg)
+    """Batch SSI: SSI over the one global context of the concatenated
+    row maps, so every pixel of the batch shares one median and MAD."""
+    return ssi(row(preds), row(gts))
 
 
 @pytest.fixture

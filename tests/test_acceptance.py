@@ -14,17 +14,13 @@ from hdnorm import (
     LossConfig,
     build_hierarchy,
     compare_losses,
-    depth_percentile_bins,
-    depth_range_bins,
     global_context,
-    batch_context,
     hdn_loss,
     numerical_gradient,
     partition_dump,
     read_csv_map,
     read_mask,
     read_pfm,
-    spatial_grid,
     standard_fixture,
     tie_mask,
     write_mask,
@@ -34,7 +30,7 @@ from hdnorm import (
     delta1,
 )
 
-from conftest import batch_ssi, random_pair, ssi
+from conftest import batch_ssi, random_pair, row, ssi
 from oracles import ref_hdn_loss, ref_partition, ref_ssi_loss
 
 
@@ -127,8 +123,9 @@ def test_criterion_3_brute_force_oracle_equivalence():
 
 
 def test_criterion_4_partition_correctness():
-    """All builders match brute-force references on 100 random
-    instances; DP balance <= 1; DR membership; spatial floor rule (< 5 s)."""
+    """Every context kind matches the brute-force references, in order,
+    on 100 random instances; DP balance <= 1; DR membership; spatial
+    floor rule (< 5 s)."""
     t0 = time.monotonic()
     rng = np.random.default_rng(1004)
     ok = True
@@ -141,20 +138,19 @@ def test_criterion_4_partition_correctness():
         if not valid.any():
             valid[0, 0] = True
         gt = DepthMap(vals, valid)
-        for kind, builder in (("spatial", spatial_grid),
-                              ("depth_percentile", depth_percentile_bins),
-                              ("depth_range", depth_range_bins)):
-            got = sorted([sorted(int(i) for i in c) for c in builder(gt, s).contexts])
-            ref = sorted(ref_partition(vals.tolist(), valid.tolist(), h, w, kind, s))
-            ok &= got == ref
-        # global and batch
-        got_g = sorted(int(i) for i in global_context(gt).contexts[0])
-        ok &= got_g == sorted(np.flatnonzero(valid.ravel()).tolist())
-        got_b = sorted(int(i) for i in batch_context([gt, gt]).contexts[0])
+        for kind in ("spatial", "depth_percentile", "depth_range"):
+            got = [c.tolist() for c in
+                   build_hierarchy(gt, LevelSpec(kind, (s,))).levels[0].contexts]
+            ok &= got == ref_partition(vals.tolist(), valid.tolist(), h, w, kind, s)
+        # global, and batch as the global context of the concatenated maps
+        got_g = global_context(gt).contexts[0].tolist()
+        ok &= got_g == np.flatnonzero(valid.ravel()).tolist()
+        got_b = global_context(row([gt, gt])).contexts[0].tolist()
         base = np.flatnonzero(valid.ravel())
-        ok &= got_b == sorted(base.tolist() + (base + h * w).tolist())
+        ok &= got_b == base.tolist() + (base + h * w).tolist()
         # DP balance
-        sizes = [len(c) for c in depth_percentile_bins(gt, s).contexts]
+        dp = build_hierarchy(gt, LevelSpec("depth_percentile", (s,))).levels[0]
+        sizes = [len(c) for c in dp.contexts]
         ok &= max(sizes) - min(sizes) <= 1
     elapsed = time.monotonic() - t0
     report("criterion 4: partition correctness", ok and elapsed < 5,
@@ -272,7 +268,8 @@ def test_criterion_9_io_roundtrips(tmp_path):
     ok &= m.values.tolist() == [[1, 2], [3, 0]]
     ok &= m.valid.tolist() == [[True, True], [True, False]]
     gt = DepthMap(rng.uniform(0, 5, (6, 6)))
-    dumps = {partition_dump(depth_range_bins(gt, 3)) for _ in range(5)}
+    dumps = {partition_dump(build_hierarchy(gt, LevelSpec("depth_range", (3,))).levels[0])
+             for _ in range(5)}
     ok &= len(dumps) == 1
     elapsed = time.monotonic() - t0
     report("criterion 9: I/O round-trips", ok and elapsed < 5, f"{elapsed:.2f}s")

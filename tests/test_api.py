@@ -7,12 +7,12 @@ import hdnorm
 PUBLIC = [
     "ContextHierarchy", "DepthMap", "EvalReport", "FitConfig", "FitReport",
     "LevelSpec", "LossConfig", "LossReport", "Partition", "SceneSpec",
-    "absrel", "align_scale_shift", "batch_context", "build_hierarchy",
-    "compare_losses", "delta1", "depth_percentile_bins", "depth_range_bins",
-    "evaluate", "fit_depth", "generate_scene", "global_context", "hdn_loss",
-    "l1_plus_hdn", "loss_config", "numerical_gradient", "partition_dump",
-    "read_csv_map", "read_mask", "read_pfm", "scatter_sample", "spatial_grid",
-    "standard_fixture", "tie_mask", "write_mask", "write_pfm",
+    "absrel", "align_scale_shift", "build_hierarchy", "compare_losses",
+    "delta1", "evaluate", "fit_depth", "generate_scene", "global_context",
+    "hdn_loss", "l1_plus_hdn", "loss_config", "numerical_gradient",
+    "partition_dump", "read_csv_map", "read_mask", "read_pfm",
+    "scatter_sample", "standard_fixture", "tie_mask", "write_mask",
+    "write_pfm",
 ]
 
 

@@ -1,4 +1,7 @@
+import runpy
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,3 +189,13 @@ def test_standard_fixture_shape():
     spec = standard_fixture()
     assert (spec.height, spec.width) == (64, 64)
     assert spec.background_depth / (spec.base_depth + spec.ridge_amplitude) > 8
+
+
+def test_ab_experiment_matches_readme_table(monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```\n", readme.index("Typical output")) + 4
+    table = readme[start:readme.index("```", start)]
+    monkeypatch.setattr(sys, "argv", ["run_ab_experiment.py"])
+    runpy.run_path(str(root / "scripts" / "run_ab_experiment.py"), run_name="__main__")
+    assert capsys.readouterr().out == table

@@ -172,7 +172,7 @@ def test_batch_singleton_equals_ssi(rng):
     pred, gt = random_pair(rng, 3, 4, mask_prob=0.2)
     batch = batch_ssi([pred], [gt])
     assert batch.value == pytest.approx(ssi(pred, gt).value, abs=1e-12)
-    assert batch.per_level == [("batch", batch.value)]
+    assert batch.per_level == [("global", batch.value)]
 
 
 def test_batch_duplicated_pair_equals_single(rng):
