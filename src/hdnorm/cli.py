@@ -10,9 +10,11 @@ plus rename) so failed commands never leave partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -60,8 +62,7 @@ def _parse_levels(text: str) -> tuple:
 def cmd_loss(args) -> int:
     pred = _load_map(args.pred, args.pred_mask)
     gt = _load_map(args.gt, args.gt_mask)
-    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels),
-                              args.eps, args.min_context)
+    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels))
     if args.lam is not None:
         report = loss_mod.l1_plus_hdn(pred, gt, cfg, args.lam)
     else:
@@ -78,8 +79,7 @@ def cmd_grad_check(args) -> int:
     gt = _load_map(args.gt, args.gt_mask)
     if args.step <= 0:
         raise HdnormError(f"step must be > 0, got {args.step}")
-    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels),
-                              args.eps, args.min_context)
+    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels))
     analytic = loss_mod.hdn_loss(pred, gt, cfg, with_gradient=True).gradient
     numeric = loss_mod.numerical_gradient(pred, gt, cfg, step=args.step)
     tied = loss_mod.tie_mask(pred, gt, cfg)
@@ -125,23 +125,25 @@ def cmd_scatter(args) -> int:
     pairs = metrics.scatter_sample(pred, gt, args.n, args.seed)
     text = metrics.scatter_csv(pairs)
     if args.out:
-        _write_atomic(args.out, lambda p: open(p, "w").write(text))
+        _write_atomic(args.out, lambda p: Path(p).write_text(text))
     else:
         sys.stdout.write(text)
     return 0
 
 
+# SceneSpec's fields, each an option whose default is the standard
+# fixture's value and whose type is that value's type
+_SCENE_DEFAULTS = dataclasses.asdict(harness.standard_fixture())
+
+
 def _scene_from_args(args) -> SceneSpec:
-    fields = {f: getattr(args, f) for f in (
-        "height", "width", "background_depth", "fg_top", "fg_bottom",
-        "fg_left", "fg_right", "base_depth", "ridge_amplitude",
-        "ridge_period", "noise_sigma", "seed")}
+    fields = {f: getattr(args, f) for f in _SCENE_DEFAULTS}
     if args.config:
-        fields.update(_read_config(args.config, fields))
+        fields.update(_read_config(args.config))
     return SceneSpec(**fields)
 
 
-def _read_config(path: str, known: dict) -> dict:
+def _read_config(path: str) -> dict:
     """One `key = value` option per line; '#' starts a comment."""
     out = {}
     with open(path) as f:
@@ -152,29 +154,17 @@ def _read_config(path: str, known: dict) -> dict:
             if "=" not in line:
                 raise HdnormError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _SCENE_DEFAULTS:
                 raise HdnormError(f"{path}:{lineno}: unknown option {key!r}")
-            template = known[key]
-            if isinstance(template, int):
-                out[key] = int(value)
-            elif isinstance(template, float):
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = type(_SCENE_DEFAULTS[key])(value)
     return out
 
 
 def _add_scene_flags(p) -> None:
-    std = harness.standard_fixture()
     p.add_argument("--config", help="key = value file overriding scene flags")
-    for f in ("height", "width", "fg_top", "fg_bottom", "fg_left", "fg_right",
-              "seed"):
-        p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=int,
-                       default=getattr(std, f))
-    for f in ("background_depth", "base_depth", "ridge_amplitude",
-              "ridge_period", "noise_sigma"):
-        p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=float,
-                       default=getattr(std, f))
+    for f, default in _SCENE_DEFAULTS.items():
+        p.add_argument(f"--{f.replace('_', '-')}", dest=f, type=type(default),
+                       default=default)
 
 
 def cmd_synth(args) -> int:
@@ -188,8 +178,7 @@ def cmd_synth(args) -> int:
 def _fit_config(args, loss_kind: str, levels: str) -> FitConfig:
     return FitConfig(loss_kind=loss_kind, level_sizes=_parse_levels(levels),
                      steps=args.steps, step_size=args.step_size,
-                     init=args.init, seed=args.fit_seed,
-                     eps=args.eps, min_context=args.min_context)
+                     init=args.init, seed=args.fit_seed)
 
 
 def cmd_fit(args) -> int:
@@ -215,21 +204,15 @@ def cmd_compare(args) -> int:
         configs.append(_fit_config(args, kind, levels or "1"))
     rows = harness.compare_losses(spec, configs)
     if args.csv:
-        _write_atomic(args.csv, lambda p: open(p, "w").write(
+        _write_atomic(args.csv, lambda p: Path(p).write_text(
             harness.rows_to_csv(rows)))
     print(harness.format_table(rows))
     return 0
 
 
-def _add_filter_flags(p) -> None:
-    p.add_argument("--eps", type=float, default=loss_mod.DEFAULT_EPS)
-    p.add_argument("--min-context", dest="min_context", type=int, default=2)
-
-
 def _add_loss_flags(p, with_lambda=False) -> None:
     p.add_argument("--kind", choices=harness.LOSS_KINDS, default="ssi")
     p.add_argument("--levels", default="1,2,4")
-    _add_filter_flags(p)
     if with_lambda:
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="if set, compute L1 + lambda * HDN")
@@ -247,7 +230,6 @@ def _add_fit_flags(p) -> None:
     p.add_argument("--step-size", dest="step_size", type=float, default=100.0)
     p.add_argument("--init", choices=harness.INIT_KINDS, default="noisy_gt")
     p.add_argument("--fit-seed", dest="fit_seed", type=int, default=7)
-    _add_filter_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:

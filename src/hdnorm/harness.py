@@ -16,7 +16,7 @@ import numpy as np
 from .contexts import ContextHierarchy, LevelSpec, build_hierarchy, global_context
 from .depth_core import DepthMap
 from .errors import DivergenceError, ParameterError
-from .loss import DEFAULT_EPS, LossConfig, hdn_loss
+from .loss import LossConfig, hdn_loss
 from .metrics import absrel, align_scale_shift
 
 # loss kind -> context kind of its levels; ssi is the one global context
@@ -26,7 +26,7 @@ _CONTEXT_KINDS = {
     "hdn_dr": "depth_range",
 }
 LOSS_KINDS = ("ssi",) + tuple(_CONTEXT_KINDS)
-INIT_KINDS = ("constant", "noisy_gt", "random")
+INIT_KINDS = ("noisy_gt", "random")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,6 @@ class FitConfig:
     step_size: float = 100.0
     init: str = "noisy_gt"
     seed: int = 7
-    eps: float = DEFAULT_EPS
-    min_context: int = 2
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
@@ -123,8 +121,8 @@ def generate_scene(spec: SceneSpec) -> DepthMap:
     return DepthMap(values)
 
 
-def loss_config(gt: DepthMap, loss_kind: str, level_sizes: tuple = (1,),
-                eps: float = DEFAULT_EPS, min_context: int = 2) -> LossConfig:
+def loss_config(gt: DepthMap, loss_kind: str,
+                level_sizes: tuple = (1,)) -> LossConfig:
     """The LossConfig of a loss kind over gt; ssi ignores level_sizes."""
     if loss_kind not in LOSS_KINDS:
         raise ParameterError(f"unknown loss kind {loss_kind!r}")
@@ -133,15 +131,13 @@ def loss_config(gt: DepthMap, loss_kind: str, level_sizes: tuple = (1,),
     else:
         spec = LevelSpec(_CONTEXT_KINDS[loss_kind], level_sizes)
         hierarchy = build_hierarchy(gt, spec)
-    return LossConfig(hierarchy=hierarchy, eps=eps, min_context=min_context)
+    return LossConfig(hierarchy)
 
 
 def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
     vals = gt.values[gt.valid]
     lo, hi = float(vals.min()), float(vals.max())
     rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "constant":
-        return np.full(gt.values.shape, float(vals.mean()))
     if cfg.init == "noisy_gt":
         sigma = 0.1 * max(hi - lo, 1.0)
         return gt.values + sigma * rng.standard_normal(gt.values.shape)
@@ -154,8 +150,7 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
     value at a valid pixel. Contexts are built once from gt and never
     change. Raises DivergenceError when the loss is non-finite or no
     halving of the step gives a finite candidate."""
-    loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes, cfg.eps,
-                           cfg.min_context)
+    loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
     pred_vals = _initial_prediction(gt, cfg)
     lr = cfg.step_size
 

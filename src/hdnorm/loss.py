@@ -8,10 +8,10 @@ at least one context after filtering.
 SSI is the one-level case: a hierarchy of the single global context.
 Batch SSI is SSI on the maps concatenated into one.
 
-Context filtering: contexts with fewer than min_context joint-valid
-pixels are dropped (a singleton context normalizes to 0/0), and so are
-contexts whose ground-truth MAD is <= eps, which carry no relative-depth
-signal.
+Context filtering is a fixed rule: a context needs at least two
+joint-valid pixels and a ground-truth MAD above EPS. A smaller or
+degenerate context carries no relative-depth signal (a singleton has
+gt MAD 0). Every MAD is clamped at EPS before it divides.
 
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask: per level, the members of the surviving contexts
@@ -41,23 +41,17 @@ from .contexts import ContextHierarchy
 from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, ParameterError
 
-DEFAULT_EPS = 1e-6
+EPS = 1e-6
+# how close to a median/sign/clamp tie tie_mask flags a context
+TIE_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
 class LossConfig:
     hierarchy: ContextHierarchy
-    eps: float = DEFAULT_EPS
-    min_context: int = 2
     # (gt, joint mask, plan) of the last evaluation, see _plan_for
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
-
-    def __post_init__(self):
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be > 0, got {self.eps}")
-        if self.min_context < 2:
-            raise ParameterError(f"min_context must be >= 2, got {self.min_context}")
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,7 @@ class _Plan:
 
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
-    size and gt-degeneracy rules reject, and flatten the rest."""
+    filter rule rejects, and flatten the rest."""
     jf = joint.ravel()
     gf = gt.values.ravel()
     npix = gf.size
@@ -101,15 +95,15 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
         kept, ngs = [], []
         for ctx in part.contexts:
             idx = ctx[jf[ctx]]
-            if idx.size < cfg.min_context:
+            if idx.size < 2:
                 continue
             gvals = gf[idx]
             gm = np.median(gvals)
             gmad = np.mean(np.abs(gvals - gm))
-            if gmad <= cfg.eps:
+            if gmad <= EPS:
                 continue
             kept.append(idx)
-            ngs.append((gvals - gm) / max(gmad, cfg.eps))
+            ngs.append((gvals - gm) / gmad)
         k = len(kept)
         sizes = np.array([idx.size for idx in kept], dtype=np.intp)
         pix = np.concatenate(kept) if kept else np.empty(0, dtype=np.intp)
@@ -164,7 +158,7 @@ def _middle_ranks(lv: _LevelPlan, order: np.ndarray):
             order[perm[lv.offsets + lv.sizes // 2]])
 
 
-def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray, eps: float):
+def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray):
     """(lo, hi, dev, mad, res) of one level: the middle-rank pixels, and
     per member the deviation from the context median and the normalized
     residual; mad is the unclamped MAD per context."""
@@ -174,7 +168,7 @@ def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray, eps: float):
     dev = pf[lv.pix]
     dev -= np.repeat(med, lv.sizes)
     mad = np.add.reduceat(np.abs(dev), lv.offsets) / lv.sizes
-    res = dev / np.repeat(np.maximum(mad, eps), lv.sizes)
+    res = dev / np.repeat(np.maximum(mad, EPS), lv.sizes)
     res -= lv.ng
     return lo, hi, dev, mad, res
 
@@ -192,10 +186,9 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     gradient = np.zeros(pf.size) if with_gradient else None
     per_level = []
     for lv in plan.levels:
-        lo, hi, dev, mad, res = _level_pass(lv, pf, order, cfg.eps)
+        lo, hi, dev, mad, res = _level_pass(lv, pf, order)
         if with_gradient:
-            gradient[lv.pix] += _level_gradient(plan, lv, lo, hi, dev, mad,
-                                                res, cfg.eps)
+            gradient[lv.pix] += _level_gradient(plan, lv, lo, hi, dev, mad, res)
         res = np.abs(res)
         contrib[lv.pix] += res
         per_level.append((lv.tag, float(res.sum()) / res.size if res.size else 0.0))
@@ -206,7 +199,7 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
                       used_pixels=int(plan.used.size))
 
 
-def _level_gradient(plan, lv, lo, hi, dev, mad, res, eps) -> np.ndarray:
+def _level_gradient(plan, lv, lo, hi, dev, mad, res) -> np.ndarray:
     """d(loss)/d(pred) per member of one level's contexts."""
     def per_member(per_context):
         return np.repeat(per_context, lv.sizes)
@@ -220,12 +213,12 @@ def _level_gradient(plan, lv, lo, hi, dev, mad, res, eps) -> np.ndarray:
     e[lo] = 0.5
     e[hi] += 0.5
     e = e[lv.pix]
-    # d MAD / d pred; zero where the clamp holds s at eps
+    # d MAD / d pred; zero where the clamp holds s at EPS
     sgn = np.sign(dev)
     ds = sgn - e * per_member(np.add.reduceat(sgn, lv.offsets))
     ds /= per_member(lv.sizes)
-    ds[~per_member(mad > eps)] = 0.0
-    s = np.maximum(mad, eps)
+    ds[~per_member(mad > EPS)] = 0.0
+    s = np.maximum(mad, EPS)
     A = np.add.reduceat(ws, lv.offsets) / s
     B = np.add.reduceat(ws * dev, lv.offsets) / s / s
     grad = ws / per_member(s)
@@ -275,30 +268,30 @@ def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     return grad
 
 
-def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
-             margin: float = 1e-4) -> np.ndarray:
+def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
     """Pixels near a median/sign tie, where finite differences straddle a
     kink of the piecewise-smooth loss. Conservative: if any member of a
-    context is within margin of a tie, the whole context is flagged."""
+    context is within TIE_MARGIN of a tie, the whole context is flagged."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf, stable=False)
     tied = np.zeros(pf.size, dtype=bool)
     for lv in plan.levels:
-        lo, hi, dev, mad, res = _level_pass(lv, pf, order, cfg.eps)
+        lo, hi, dev, mad, res = _level_pass(lv, pf, order)
         d = pf[lv.pix]
         absdev = np.abs(dev)
         # sign(dev) flips; the middle's own dev is identically zero
-        near = (absdev > 0) & (absdev < margin)
+        near = (absdev > 0) & (absdev < TIE_MARGIN)
         # order crossings that reselect the median
         for mid in (lo, hi):
             dist = np.abs(d - np.repeat(pf[mid], lv.sizes))
-            near |= (dist > 0) & (dist < margin)
+            near |= (dist > 0) & (dist < TIE_MARGIN)
         # residual sign flips, scaled by the normalization slope
-        s = np.maximum(mad, cfg.eps)
-        near |= np.abs(res) < np.repeat(margin * np.maximum(1.0, 1.0 / s), lv.sizes)
+        s = np.maximum(mad, EPS)
+        near |= np.abs(res) < np.repeat(TIE_MARGIN * np.maximum(1.0, 1.0 / s),
+                                        lv.sizes)
         flag = np.logical_or.reduceat(near, lv.offsets)
         # clamp branch switch
-        flag |= np.abs(mad - cfg.eps) < margin
+        flag |= np.abs(mad - EPS) < TIE_MARGIN
         tied[lv.pix[np.repeat(flag, lv.sizes)]] = True
     return tied.reshape(pred.values.shape)

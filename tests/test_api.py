@@ -1,3 +1,4 @@
+import dataclasses
 import types
 
 import hdnorm
@@ -20,3 +21,14 @@ def test_exported_names_are_pinned():
     exported = sorted(name for name in hdnorm.__all__
                       if not isinstance(getattr(hdnorm, name), types.ModuleType))
     assert exported == PUBLIC
+
+
+def test_config_fields_are_pinned():
+    # the settable values of a loss and of a fit; the context filter and
+    # the MAD clamp are fixed rules of the kernel, not options
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert names(hdnorm.LossConfig) == ["hierarchy"]
+    assert names(hdnorm.FitConfig) == [
+        "loss_kind", "level_sizes", "steps", "step_size", "init", "seed"]

@@ -169,6 +169,17 @@ def test_scatter_stdout(capsys, fixture_files):
     assert len(out.splitlines()) == 5
 
 
+def test_scatter_out_file(capsys, fixture_files, tmp_path):
+    pp, gp, _ = fixture_files
+    rc, stdout, _ = run(capsys, "scatter", pp, gp, "--n", "4")
+    assert rc == 0
+    out = tmp_path / "pairs.csv"
+    rc, printed, _ = run(capsys, "scatter", pp, gp, "--n", "4", "--out", str(out))
+    assert rc == 0 and printed == ""
+    assert out.read_bytes() == stdout.encode()
+    assert [p.name for p in tmp_path.glob("*.tmp")] == []
+
+
 def test_synth_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.pfm", tmp_path / "b.pfm"
     assert run(capsys, "synth", "--out", str(a))[0] == 0
@@ -237,3 +248,19 @@ def test_compare_ssi_vs_hdn_dr(capsys, tmp_path):
 
 def test_unknown_command_exit2(capsys):
     assert main(["definitely-not-a-command"]) == 2
+
+
+def test_removed_options_exit2(capsys, fixture_files):
+    # the context filter is fixed and a constant init is no choice
+    pp, gp, _ = fixture_files
+    for argv, message in (
+            (["loss", pp, gp, "--eps", "1e-6"], "unrecognized arguments"),
+            (["grad-check", pp, gp, "--min-context", "2"], "unrecognized arguments"),
+            (["fit", "--eps", "1e-6"], "unrecognized arguments"),
+            (["compare", "--loss", "ssi", "--min-context", "2"],
+             "unrecognized arguments"),
+            (["fit", "--init", "constant"], "invalid choice"),
+            (["compare", "--loss", "ssi", "--init", "constant"], "invalid choice")):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert message in err

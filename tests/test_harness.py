@@ -64,8 +64,9 @@ def test_fit_config_validation():
         FitConfig("nope")
     with pytest.raises(ParameterError):
         FitConfig("ssi", steps=0)
-    with pytest.raises(ParameterError):
-        FitConfig("ssi", init="bogus")
+    for init in ("bogus", "constant"):
+        with pytest.raises(ParameterError):
+            FitConfig("ssi", init=init)
 
 
 def test_loss_config_unknown_kind():
@@ -139,8 +140,7 @@ def test_fitted_loss_affine_free():
     gt = generate_scene(spec)
     cfg = FitConfig("hdn_dr", (1, 2), steps=10, step_size=50.0, seed=2)
     fitted, report = fit_depth(gt, cfg, foreground=spec.foreground)
-    loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes, cfg.eps,
-                           cfg.min_context)
+    loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
     base = hdn_loss(fitted, gt, loss_cfg).value
     for a in (0.5, 3.0):
         scaled = DepthMap(a * fitted.values, fitted.valid)

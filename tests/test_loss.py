@@ -20,8 +20,8 @@ from conftest import batch_ssi, random_pair, ssi
 from oracles import ref_hdn_gradient, ref_hdn_loss, ref_ssi_loss
 
 
-def global_cfg(gt, **kw):
-    return LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1,))), **kw)
+def global_cfg(gt):
+    return LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1,))))
 
 
 def single_level_cfg(gt, kind, s):
@@ -138,12 +138,6 @@ def test_hdn_per_level_breakdown(rng):
     assert [tag for tag, _ in report.per_level] == [
         "depth_range-1", "depth_range-2", "depth_range-4"]
     assert all(v >= 0 for _, v in report.per_level)
-
-
-def test_min_context_validation(rng):
-    _, gt = random_pair(rng, 2, 2)
-    with pytest.raises(ParameterError):
-        global_cfg(gt, min_context=1)
 
 
 def test_local_only_spatial_s1_equals_ssi(rng):

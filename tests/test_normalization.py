@@ -16,11 +16,11 @@ finite_vals = st.lists(
     min_size=1, max_size=50)
 
 
-def ssi(pred_vals, gt_vals, **kw):
+def ssi(pred_vals, gt_vals):
     """hdn_loss of two 1 x n maps over their one global context."""
     pred = DepthMap(np.array([pred_vals], dtype=float))
     gt = DepthMap(np.array([gt_vals], dtype=float))
-    return hdn_loss(pred, gt, loss_config(gt, "ssi", **kw))
+    return hdn_loss(pred, gt, loss_config(gt, "ssi"))
 
 
 def test_median_odd():
@@ -50,14 +50,16 @@ def test_median_empty_raises():
 
 
 def test_mad_example():
-    # the MAD of [1, 2, 3] is 2/3: an eps below it leaves pn at
-    # [-1.5, 0, 1.5] = gn, an eps above it clamps pn to [-1, 0, 1] / 0.7
-    assert ssi([1, 2, 3], [-3, 0, 3], eps=0.6).value == 0
-    assert ssi([1, 2, 3], [-3, 0, 3], eps=0.7).value == pytest.approx(1 / 21, abs=1e-15)
+    # the MAD of [1, 2, 3] * k is 2k/3: at k = 3e-6 it is above EPS and
+    # pn = [-1.5, 0, 1.5] = gn; at k = 9e-7 it is 6e-7, clamped to EPS,
+    # so pn = [-0.9, 0, 0.9]
+    assert ssi(np.array([1, 2, 3]) * 3e-6, [-3, 0, 3]).value == 0
+    assert ssi(np.array([1, 2, 3]) * 9e-7, [-3, 0, 3]).value == pytest.approx(
+        0.4, abs=1e-15)
 
 
 def test_mad_constant_zero():
-    # a constant gt context has MAD 0 <= eps, so it is filtered out
+    # a constant gt context has MAD 0 <= EPS, so it is filtered out
     with pytest.raises(DegenerateInputError, match="all contexts filtered out"):
         ssi([1, 2, 3], [4, 4, 4])
 
@@ -84,7 +86,7 @@ def test_normalize_example():
 
 
 def test_normalize_constant_input_all_zeros():
-    # a constant pred context has MAD 0, clamped to eps, so pn = 0 and
+    # a constant pred context has MAD 0, clamped to EPS, so pn = 0 and
     # the loss is mean |gn| over gn = [-1, 1]
     assert ssi([7.0, 7.0], [1.0, 3.0]).value == 1.0
 
@@ -95,7 +97,7 @@ def test_normalize_constant_input_all_zeros():
        st.floats(min_value=-100, max_value=100, allow_nan=False))
 def test_stats_affine_equivariance(vals, a, b):
     # the kernel's median and MAD are affine equivariant, so the loss is
-    # invariant while the eps clamp is inactive for v and a*v + b
+    # invariant while the EPS clamp is inactive for v and a*v + b
     v = np.asarray(vals)
     g = np.arange(v.size, dtype=float)
     if v.size < 2:
