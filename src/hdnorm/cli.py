@@ -156,7 +156,12 @@ def _read_config(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _SCENE_DEFAULTS:
                 raise HdnormError(f"{path}:{lineno}: unknown option {key!r}")
-            out[key] = type(_SCENE_DEFAULTS[key])(value)
+            kind = type(_SCENE_DEFAULTS[key])
+            try:
+                out[key] = kind(value)
+            except ValueError:
+                raise HdnormError(f"{path}:{lineno}: bad value {value!r} for "
+                                  f"{key}; expected {kind.__name__}") from None
     return out
 
 

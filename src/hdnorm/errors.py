@@ -33,5 +33,8 @@ class DivergenceError(HdnormError):
     """Gradient descent produced a non-finite loss."""
 
     def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+        super().__init__(step)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"non-finite loss at step {self.step}"

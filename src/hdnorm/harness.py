@@ -9,6 +9,7 @@ hierarchical contexts keep it supervised.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -203,21 +204,42 @@ def _aligned_absrel(pred: DepthMap, gt: DepthMap) -> float:
     return absrel(DepthMap(s * pred.values + t, pred.valid), gt)
 
 
+def _fit_report(job) -> FitReport:
+    gt, cfg, foreground = job
+    return fit_depth(gt, cfg, foreground=foreground)[1]
+
+
 def compare_losses(spec: SceneSpec, configs) -> list:
     """One result row per config plus signed-percent changes versus the
-    first (baseline) row."""
+    first (baseline) row.
+
+    The fits are independent, so they run in forked worker processes,
+    one per CPU this process may run on and at most one per config. With
+    one worker (one config, one CPU, or no fork) they run in this
+    process. The rows are the same either way, and a fit's error is
+    raised here."""
     if not configs:
         raise ParameterError("compare_losses needs at least one config")
     gt = generate_scene(spec)
-    rows = []
-    for cfg in configs:
-        _, report = fit_depth(gt, cfg, foreground=spec.foreground)
-        rows.append({
-            "label": cfg.label,
-            "final_loss": report.final_loss,
-            "global_absrel": report.global_absrel,
-            "foreground_local_absrel": report.foreground_local_absrel,
-        })
+    jobs = [(gt, cfg, spec.foreground) for cfg in configs]
+    # every platform with os.sched_getaffinity can fork; the others fit
+    # serially
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers > 1:  # imported here, so `import hdnorm.cli` skips them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            reports = list(pool.map(_fit_report, jobs))
+    else:
+        reports = [_fit_report(job) for job in jobs]
+    rows = [{
+        "label": cfg.label,
+        "final_loss": report.final_loss,
+        "global_absrel": report.global_absrel,
+        "foreground_local_absrel": report.foreground_local_absrel,
+    } for cfg, report in zip(configs, reports)]
     base = rows[0]
     for row in rows:
         for key in ("global_absrel", "foreground_local_absrel"):

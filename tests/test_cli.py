@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hdnorm
 from hdnorm import DepthMap, read_pfm, write_mask, write_pfm
 from hdnorm.cli import main
 
@@ -219,6 +225,16 @@ def test_synth_bad_config_key_exit2(capsys, tmp_path):
     assert not (tmp_path / "s.pfm").exists()
 
 
+def test_synth_bad_config_value_exit2(capsys, tmp_path):
+    cfg = tmp_path / "scene.cfg"
+    cfg.write_text("# scene\nheight = abc\n")
+    rc, _, err = run(capsys, "synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "s.pfm"))
+    assert rc == 2
+    assert err.startswith(f"error: {cfg}:2: bad value 'abc' for height")
+    assert not (tmp_path / "s.pfm").exists()
+
+
 def test_fit_small(capsys, tmp_path):
     rc, out, _ = run(capsys, "fit", "--height", "16", "--width", "16",
                      "--fg-top", "4", "--fg-bottom", "12",
@@ -244,6 +260,30 @@ def test_compare_ssi_vs_hdn_dr(capsys, tmp_path):
     assert len(lines) == 3
     csv = (tmp_path / "rows.csv").read_text()
     assert csv.splitlines()[0].startswith("label,")
+
+
+def test_compare_divergence_exit2(capsys, monkeypatch):
+    # the error crosses the worker pool and keeps its message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    rc, out, err = run(capsys, "compare", "--height", "16", "--width", "16",
+                       "--fg-top", "4", "--fg-bottom", "12",
+                       "--fg-left", "4", "--fg-right", "12",
+                       "--loss", "ssi", "--loss", "hdn_dr:1,2",
+                       "--step-size", "inf")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: non-finite loss at step 0\n"
+
+
+def test_cli_import_leaves_out_process_pools():
+    # the pool's modules load only when compare runs fits in parallel
+    src = str(Path(hdnorm.__file__).resolve().parent.parent)
+    code = ("import sys, hdnorm.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_unknown_command_exit2(capsys):

@@ -1,3 +1,5 @@
+import os
+import pickle
 import runpy
 import sys
 import warnings
@@ -15,7 +17,8 @@ from hdnorm import (
     generate_scene,
     standard_fixture,
 )
-from hdnorm.errors import DivergenceError, ParameterError
+from hdnorm import harness
+from hdnorm.errors import DivergenceError, HdnormError, ParameterError
 from hdnorm.harness import format_table, loss_config, rows_to_csv
 from hdnorm.loss import hdn_loss
 
@@ -183,6 +186,60 @@ def test_compare_deterministic():
     cfgs = [FitConfig("ssi", (1,), steps=8, step_size=50.0),
             FitConfig("hdn_dp", (1, 2), steps=8, step_size=50.0)]
     assert compare_losses(spec, cfgs) == compare_losses(spec, cfgs)
+
+
+def _fit_pids(monkeypatch, path):
+    """Make every fit append its process id to path; forked workers
+    inherit the patch."""
+    fit = harness.fit_depth
+
+    def logged(*args, **kw):
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fit(*args, **kw)
+
+    monkeypatch.setattr(harness, "fit_depth", logged)
+    return lambda: {int(pid) for pid in Path(path).read_text().split()}
+
+
+def test_compare_pool_rows_equal_serial_rows(monkeypatch, tmp_path):
+    spec = small_fixture()
+    cfgs = [FitConfig("ssi", (1,), steps=8, step_size=50.0),
+            FitConfig("hdn_s", (1, 2), steps=8, step_size=50.0),
+            FitConfig("hdn_dr", (1, 2), steps=8, step_size=50.0)]
+    pids = _fit_pids(monkeypatch, tmp_path / "pool")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pooled = compare_losses(spec, cfgs)
+    assert pids() and os.getpid() not in pids()
+    pids = _fit_pids(monkeypatch, tmp_path / "serial")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    serial = compare_losses(spec, cfgs)
+    assert pids() == {os.getpid()}
+    assert pooled == serial
+
+
+def test_compare_divergence_raised_through_pool(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfgs = [FitConfig("ssi", (1,), steps=8, step_size=50.0),
+            FitConfig("hdn_dr", (1, 2), steps=8, step_size=float("inf"))]
+    with pytest.raises(DivergenceError) as info:
+        compare_losses(small_fixture(), cfgs)
+    assert info.value.step == 0
+    assert str(info.value) == "non-finite loss at step 0"
+
+
+def test_errors_survive_pickling():
+    # worker processes hand their errors back pickled
+    def subclasses(cls):
+        return [cls] + [s for sub in cls.__subclasses__() for s in subclasses(sub)]
+
+    for cls in subclasses(HdnormError):
+        err = cls(3) if cls is DivergenceError else cls("bad input")
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls
+        assert str(back) == str(err)
+        assert getattr(back, "step", None) == getattr(err, "step", None)
+    assert str(DivergenceError(3)) == "non-finite loss at step 3"
 
 
 def test_standard_fixture_shape():
