@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (HdnormError, OSError, ValueError) as exc:
+    except (HdnormError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

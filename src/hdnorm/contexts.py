@@ -42,7 +42,10 @@ class LevelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown context kind {self.kind!r}")
-        sizes = tuple(int(s) for s in self.sizes)
+        try:
+            sizes = tuple(int(s) for s in self.sizes)
+        except (TypeError, ValueError):
+            raise ParameterError(f"sizes must be integers: {self.sizes!r}") from None
         if not sizes:
             raise ParameterError("sizes must be non-empty")
         if any(s < 1 for s in sizes):

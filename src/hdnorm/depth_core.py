@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, FormatError, ShapeMismatchError
+from .errors import EmptyInputError, FormatError, InvalidMapError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,21 @@ class DepthMap:
     valid: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
+        try:
+            values = np.array(self.values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidMapError(f"values must be numeric: {exc}") from None
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"values must be 2-D and non-empty, got shape {values.shape}")
+            raise InvalidMapError(f"values must be 2-D and non-empty, got shape {values.shape}")
         valid = self.valid
         if valid is None:
             valid = np.ones(values.shape, dtype=bool)
         else:
             valid = np.array(valid, dtype=bool)
             if valid.shape != values.shape:
-                raise ValueError(f"mask shape {valid.shape} != values shape {values.shape}")
+                raise InvalidMapError(f"mask shape {valid.shape} != values shape {values.shape}")
         if not np.all(np.isfinite(values[valid])):
-            raise ValueError("non-finite value at a valid pixel")
+            raise InvalidMapError("non-finite value at a valid pixel")
         values.setflags(write=False)
         valid.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -110,7 +113,7 @@ def _pfm_scale(line: str) -> float:
 def write_pfm(map_: DepthMap, path) -> None:
     """Write values as a grayscale little-endian PFM (scale -1.0)."""
     if not np.all(np.isfinite(map_.values)):
-        raise ValueError("write_pfm requires finite values at every pixel")
+        raise InvalidMapError("write_pfm requires finite values at every pixel")
     data = np.flipud(map_.values).astype("<f4")
     with open(path, "wb") as f:
         f.write(f"Pf\n{map_.width} {map_.height}\n-1.0\n".encode("ascii"))

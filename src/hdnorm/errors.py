@@ -17,8 +17,12 @@ class EmptyInputError(HdnormError):
     """An operation received no valid pixels / no values."""
 
 
-class ParameterError(HdnormError):
+class ParameterError(HdnormError, ValueError):
     """An out-of-range or inconsistent parameter."""
+
+
+class InvalidMapError(HdnormError, ValueError):
+    """A map's values or mask are malformed, or not finite where valid."""
 
 
 class DegenerateInputError(HdnormError):

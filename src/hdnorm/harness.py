@@ -58,6 +58,8 @@ class SceneSpec:
             raise ParameterError("depths must be positive")
         if self.ridge_amplitude < 0 or self.ridge_period <= 0 or self.noise_sigma < 0:
             raise ParameterError("bad ridge/noise parameters")
+        if self.noise_sigma > 0 and self.seed < 0:
+            raise ParameterError(f"noise seed must be >= 0, got {self.seed}")
         if self.base_depth + self.ridge_amplitude >= self.background_depth:
             raise ParameterError("foreground must be strictly closer than background")
 
@@ -80,8 +82,8 @@ class FitConfig:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
         if self.init not in INIT_KINDS:
             raise ParameterError(f"unknown init {self.init!r}")
-        if self.steps < 1 or self.step_size <= 0:
-            raise ParameterError("steps must be >= 1 and step_size > 0")
+        if self.steps < 1 or self.step_size <= 0 or self.seed < 0:
+            raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")
         object.__setattr__(self, "level_sizes", tuple(int(s) for s in self.level_sizes))
 
     @property
@@ -204,8 +206,16 @@ def _aligned_absrel(pred: DepthMap, gt: DepthMap) -> float:
     return absrel(DepthMap(s * pred.values + t, pred.valid), gt)
 
 
-def _fit_report(job) -> FitReport:
-    gt, cfg, foreground = job
+_scene = None  # in a fit worker: the (gt, foreground) of its compare
+
+
+def _init_worker(gt, foreground) -> None:
+    global _scene
+    _scene = (gt, foreground)
+
+
+def _fit_report(cfg) -> FitReport:
+    gt, foreground = _scene
     return fit_depth(gt, cfg, foreground=foreground)[1]
 
 
@@ -216,24 +226,36 @@ def compare_losses(spec: SceneSpec, configs) -> list:
     The fits are independent, so they run in forked worker processes,
     one per CPU this process may run on and at most one per config. With
     one worker (one config, one CPU, or no fork) they run in this
-    process. The rows are the same either way, and a fit's error is
-    raised here."""
+    process. The rows are the same either way. The first fit to raise
+    ends the others, and its error is raised here."""
     if not configs:
         raise ParameterError("compare_losses needs at least one config")
     gt = generate_scene(spec)
-    jobs = [(gt, cfg, spec.foreground) for cfg in configs]
     # every platform with os.sched_getaffinity can fork; the others fit
     # serially
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(jobs), cpus)
+    workers = min(len(configs), cpus)
     if workers > 1:  # imported here, so `import hdnorm.cli` skips them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            reports = list(pool.map(_fit_report, jobs))
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+        from multiprocessing import get_context
+        # the workers inherit gt through the fork, so a job is only its
+        # config and the jobs queued for them never fill the pipe: a
+        # pipe left full when the workers are ended can stall shutdown
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(gt, spec.foreground)) as pool:
+            futures = [pool.submit(_fit_report, cfg) for cfg in configs]
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            errors = [f.exception() for f in futures if f in done and f.exception()]
+            if errors:
+                # end the running fits now (3.14: pool.terminate_workers())
+                for proc in pool._processes.values():
+                    proc.terminate()
+                raise errors[0]
+            reports = [f.result() for f in futures]
     else:
-        reports = [_fit_report(job) for job in jobs]
+        reports = [fit_depth(gt, cfg, foreground=spec.foreground)[1]
+                   for cfg in configs]
     rows = [{
         "label": cfg.label,
         "final_loss": report.final_loss,

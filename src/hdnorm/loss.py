@@ -3,7 +3,9 @@
 The per-pixel loss at location i averages, over the pixel's surviving
 contexts, the absolute difference between the median/MAD-normalized
 prediction and ground truth. The outer mean runs over pixels that kept
-at least one context after filtering.
+at least one context after filtering. So the value is a weighted sum
+over members: each |residual| weighs 1/(its pixel's context count),
+and the sum is divided by the number of such pixels.
 
 SSI is the one-level case: a hierarchy of the single global context.
 Batch SSI is SSI on the maps concatenated into one.
@@ -16,13 +18,15 @@ gt MAD 0). Every MAD is clamped at EPS before it divides.
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask: per level, the members of the surviving contexts
 as one flat array grouped by context, their normalized gt values and
-their weights in the pixel mean. A LossConfig remembers the plan of the
-last (gt, joint mask) it evaluated, so calls that reuse one gt build it
-once. The *pass* does the per-prediction work with no loop over
-contexts: one argsort of pred serves every level, a stable sort of each
-level's context labels regroups it so that every context's median sits
-at a known offset, and segment sums give the MAD and the gradient
-terms.
+their weights. A LossConfig remembers the plan of the last (gt, joint
+mask) it evaluated, so calls that reuse one gt build it once. The
+*pass* does the per-prediction work with no loop over contexts: one
+argsort of pred serves every level, a stable sort of each level's
+context labels regroups it (unless the level is one context over every
+used pixel) so that every context's median sits at a known offset, and
+segment sums give the MAD and the gradient terms. The median's
+derivative is nonzero only at a context's one or two middle ranks, so
+its terms are a sparse update at those pixels.
 
 Gradients treat the median's sort selection and every sign() as
 locally constant; the loss is piecewise smooth and tests skip tie
@@ -32,7 +36,7 @@ first, and the median derivative follows that rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -73,14 +77,13 @@ class _LevelPlan:
     offsets: np.ndarray  # start of each context in pix
     label: np.ndarray    # per map pixel: its context, len(sizes) if none
     ng: np.ndarray       # normalized gt per member
+    share: np.ndarray = None  # per member: 1 / surviving contexts of its pixel
 
 
 @dataclass(frozen=True)
 class _Plan:
     levels: tuple
-    used: np.ndarray    # pixels in at least one surviving context
-    counts: np.ndarray  # surviving contexts per used pixel
-    weight: np.ndarray  # per map pixel: 1 / (used pixels * its count)
+    used: np.ndarray  # pixels in at least one surviving context
 
 
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
@@ -116,9 +119,9 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     used = np.flatnonzero(counts)
     if used.size == 0:
         raise DegenerateInputError("all contexts filtered out")
-    weight = np.zeros(npix)
-    weight[used] = 1.0 / (used.size * counts[used])
-    return _Plan(tuple(levels), used, counts[used], weight)
+    # a pixel's context count is known once every level is filtered
+    return _Plan(tuple(replace(lv, share=1.0 / counts[lv.pix]) for lv in levels),
+                 used)
 
 
 def _plan_for(cfg: LossConfig, gt: DepthMap, joint: np.ndarray) -> _Plan:
@@ -152,10 +155,13 @@ def _pred_order(plan: _Plan, pf: np.ndarray, stable: bool) -> np.ndarray:
 def _middle_ranks(lv: _LevelPlan, order: np.ndarray):
     """Pixels at the lower and upper middle rank of each context (one
     pixel for odd sizes). The stable sort of the labels, a radix sort
-    for int16, keeps pred order within each context."""
-    perm = np.argsort(lv.label[order], kind="stable")
-    return (order[perm[lv.offsets + (lv.sizes - 1) // 2]],
-            order[perm[lv.offsets + lv.sizes // 2]])
+    for int16, keeps pred order within each context. A level whose one
+    context holds every used pixel is already in that order."""
+    lo, hi = lv.offsets + (lv.sizes - 1) // 2, lv.offsets + lv.sizes // 2
+    if lv.sizes.size != 1 or lv.sizes[0] < order.size:
+        perm = np.argsort(lv.label[order], kind="stable")
+        lo, hi = perm[lo], perm[hi]
+    return order[lo], order[hi]
 
 
 def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray):
@@ -182,49 +188,43 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf, stable=with_gradient)
-    contrib = np.zeros(pf.size)
-    gradient = np.zeros(pf.size) if with_gradient else None
+    used, value = plan.used.size, 0.0
+    gradient = np.zeros(pred.values.shape) if with_gradient else None
     per_level = []
     for lv in plan.levels:
         lo, hi, dev, mad, res = _level_pass(lv, pf, order)
         if with_gradient:
-            gradient[lv.pix] += _level_gradient(plan, lv, lo, hi, dev, mad, res)
+            _add_level_gradient(gradient.reshape(-1), lv, lo, hi, dev, mad, res, used)
         res = np.abs(res)
-        contrib[lv.pix] += res
         per_level.append((lv.tag, float(res.sum()) / res.size if res.size else 0.0))
-    value = float(np.mean(contrib[plan.used] / plan.counts))
-    if with_gradient:
-        gradient = gradient.reshape(pred.values.shape)
+        res *= lv.share
+        value += float(res.sum())
+    value /= used
     return LossReport(value=value, gradient=gradient, per_level=per_level,
-                      used_pixels=int(plan.used.size))
+                      used_pixels=int(used))
 
 
-def _level_gradient(plan, lv, lo, hi, dev, mad, res) -> np.ndarray:
-    """d(loss)/d(pred) per member of one level's contexts."""
-    def per_member(per_context):
-        return np.repeat(per_context, lv.sizes)
-
+def _add_level_gradient(gradient, lv, lo, hi, dev, mad, res, used) -> None:
+    """Add one level's d(loss)/d(pred) to gradient: ws/s - sign(dev)*v
+    at every member, and each context's median term z at its lower and
+    upper middle-rank pixel (one pixel, twice, for odd sizes)."""
     # deadband so numerically-affine predictions (residuals at
     # rounding noise) get an exactly zero gradient
-    ws = np.where(np.abs(res) > 1e-12, np.sign(res), 0.0)
-    ws *= plan.weight[lv.pix]
-    # d median / d pred, holding the sort order fixed
-    e = np.zeros(plan.weight.size)
-    e[lo] = 0.5
-    e[hi] += 0.5
-    e = e[lv.pix]
-    # d MAD / d pred; zero where the clamp holds s at EPS
+    ws = np.where(np.abs(res) > 1e-12, np.copysign(lv.share, res), 0.0)
     sgn = np.sign(dev)
-    ds = sgn - e * per_member(np.add.reduceat(sgn, lv.offsets))
-    ds /= per_member(lv.sizes)
-    ds[~per_member(mad > EPS)] = 0.0
     s = np.maximum(mad, EPS)
-    A = np.add.reduceat(ws, lv.offsets) / s
-    B = np.add.reduceat(ws * dev, lv.offsets) / s / s
-    grad = ws / per_member(s)
-    grad -= e * per_member(A)
-    grad -= ds * per_member(B)
-    return grad
+    c = 1.0 / (s * used)  # ws holds share, so 1/used folds in here
+    # -d(loss)/d(MAD) / n; zero where the clamp holds s at EPS
+    v = np.add.reduceat(ws * dev, lv.offsets) / s * c / lv.sizes
+    v[mad <= EPS] = 0.0
+    z = 0.5 * (np.add.reduceat(sgn, lv.offsets) * v
+               - np.add.reduceat(ws, lv.offsets) * c)
+    ws *= np.repeat(c, lv.sizes)
+    sgn *= np.repeat(v, lv.sizes)
+    ws -= sgn
+    gradient[lv.pix] += ws
+    gradient[lo] += z
+    gradient[hi] += z
 
 
 def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth_core import DepthMap, joint_valid
-from .errors import DegenerateAlignmentError, EmptyInputError
+from .errors import DegenerateAlignmentError, EmptyInputError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,8 @@ def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
 def scatter_sample(pred: DepthMap, gt: DepthMap, n: int, seed: int) -> list:
     """n joint-valid (pred, gt) pairs sampled without replacement with a
     seeded generator; all pairs in index order when n >= M."""
+    if n < 0 or seed < 0:
+        raise ParameterError(f"n and seed must be >= 0, got {n} and {seed}")
     idx = np.flatnonzero(joint_valid(pred, gt).ravel())
     if n < idx.size:
         rng = np.random.default_rng(seed)

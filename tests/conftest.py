@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hdnorm import DepthMap, hdn_loss, loss_config
+from hdnorm import DepthMap, SceneSpec, hdn_loss, loss_config
 
 
 def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
@@ -22,6 +22,17 @@ def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
     if mask.sum() < 2:
         mask.flat[:2] = True
     return DepthMap(prv, mask), DepthMap(gtv, mask)
+
+
+def small_fixture(**kw):
+    """A 16x16 scene with a ridged foreground in front of a constant
+    background, the standard fixture's layout at a quarter of its size."""
+    base = dict(height=16, width=16, background_depth=10.0,
+                fg_top=4, fg_bottom=12, fg_left=4, fg_right=12,
+                base_depth=1.0, ridge_amplitude=0.2, ridge_period=4.0,
+                noise_sigma=0.0, seed=3)
+    base.update(kw)
+    return SceneSpec(**base)
 
 
 def ssi(pred, gt):

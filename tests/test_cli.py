@@ -304,3 +304,62 @@ def test_removed_options_exit2(capsys, fixture_files):
         rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert message in err
+
+
+def test_internal_value_error_exits1_with_traceback(fixture_files):
+    # a ValueError from inside the program is a bug, not a usage error:
+    # it is not turned into exit 2 but ends the process with a traceback
+    pp, gp, _ = fixture_files
+    src = str(Path(hdnorm.__file__).resolve().parent.parent)
+    code = ("import sys, hdnorm.metrics, hdnorm.cli\n"
+            "def boom(*a, **k):\n    raise ValueError('internal bug')\n"
+            "hdnorm.metrics.evaluate = boom\n"
+            f"sys.exit(hdnorm.cli.main(['eval', {pp!r}, {gp!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert done.stderr.endswith("ValueError: internal bug\n")
+
+
+def test_malformed_inputs_exit2(capsys, fixture_files):
+    # every input error is a typed HdnormError or an OSError: exit 2 and
+    # one "error:" line, nothing on stdout
+    pp, gp, tmp = fixture_files
+    write_pfm(DepthMap(np.ones((2, 2))), tmp / "const.pfm")
+    write_pfm(DepthMap(np.ones((3, 2))), tmp / "tall.pfm")
+    write_mask(np.ones((3, 3), dtype=bool), tmp / "mask.pgm")
+    (tmp / "trunc.pfm").write_bytes(b"Pf\n2 2\n-1.0\n\x00")
+    (tmp / "ragged.csv").write_text("1,2\n3\n")
+    (tmp / "scene.txt").write_text("height = -3\n")
+    out = str(tmp / "out.pfm")
+    cases = [
+        ["loss", pp, str(tmp / "missing.pfm")],
+        ["loss", pp, str(tmp / "trunc.pfm")],
+        ["loss", str(tmp / "ragged.csv"), gp],
+        ["loss", pp, str(tmp / "tall.pfm")],
+        ["loss", pp, gp, "--gt-mask", str(tmp / "mask.pgm")],
+        ["loss", pp, str(tmp / "const.pfm")],
+        ["loss", pp, gp, "--kind", "hdn_s", "--levels", "x"],
+        ["loss", pp, gp, "--kind", "hdn_s", "--levels", "1,1"],
+        ["loss", pp, gp, "--lambda", "-1"],
+        ["grad-check", pp, gp, "--step", "0"],
+        ["partition", gp, "--s", "0"],
+        ["eval", str(tmp / "const.pfm"), gp],
+        ["scatter", pp, gp, "--n", "-5"],
+        ["scatter", pp, gp, "--seed", "-1"],
+        ["synth", "--out", out, "--height", "0"],
+        ["synth", "--out", out, "--config", str(tmp / "scene.txt")],
+        ["synth", "--out", out, "--background-depth", "nan"],
+        ["synth", "--out", out, "--noise-sigma", "0.1", "--seed", "-2"],
+        ["fit", "--steps", "2", "--fit-seed", "-1"],
+        ["fit", "--steps", "2", "--levels", "a"],
+        ["compare", "--steps", "2", "--loss", "nope"],
+    ]
+    for argv in cases:
+        rc, stdout, err = run(capsys, *argv)
+        assert (rc, stdout) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not (tmp / "out.pfm").exists()

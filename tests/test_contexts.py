@@ -19,6 +19,13 @@ def as_sets(partition):
     return [set(int(i) for i in ctx) for ctx in partition.contexts]
 
 
+@pytest.mark.parametrize("sizes", [("x",), (None,), 4, ()])
+def test_level_spec_errors_are_typed(sizes):
+    with pytest.raises(ParameterError) as info:
+        LevelSpec("spatial", sizes)
+    assert isinstance(info.value, ValueError)
+
+
 def test_global_all_valid():
     p = global_context(DepthMap(np.ones((2, 2))))
     assert as_sets(p) == [{0, 1, 2, 3}]

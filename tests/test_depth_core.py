@@ -8,12 +8,34 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdnorm import DepthMap, read_csv_map, read_mask, read_pfm, write_mask, write_pfm
-from hdnorm.errors import FormatError
+from hdnorm.errors import FormatError, HdnormError, InvalidMapError
 
 
 def test_depthmap_rejects_nan_at_valid_pixel():
     with pytest.raises(ValueError):
         DepthMap(np.array([[np.nan]]), np.array([[True]]))
+
+
+@pytest.mark.parametrize("values,valid", [
+    (np.zeros(3), None),                      # not 2-D
+    (np.zeros((0, 2)), None),                 # empty
+    ([["a", "1"]], None),                     # not numeric
+    ([[object()]], None),                     # not numeric
+    (np.zeros((2, 2)), np.ones((1, 2))),      # mask of another shape
+    (np.array([[1.0, np.inf]]), None),        # non-finite at a valid pixel
+])
+def test_depthmap_errors_are_typed(values, valid):
+    # also a ValueError, for callers that caught the untyped error
+    with pytest.raises(InvalidMapError) as info:
+        DepthMap(values, valid)
+    assert isinstance(info.value, HdnormError) and isinstance(info.value, ValueError)
+
+
+def test_write_pfm_non_finite_is_typed(tmp_path):
+    m = DepthMap(np.array([[np.nan, 1.0]]), np.array([[False, True]]))
+    with pytest.raises(InvalidMapError):
+        write_pfm(m, tmp_path / "x.pfm")
+    assert not (tmp_path / "x.pfm").exists()
 
 
 def test_depthmap_allows_nan_at_invalid_pixel():

@@ -1,8 +1,11 @@
+import multiprocessing
 import os
 import pickle
 import runpy
+import signal
 import sys
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,6 @@ import pytest
 from hdnorm import (
     DepthMap,
     FitConfig,
-    SceneSpec,
     compare_losses,
     fit_depth,
     generate_scene,
@@ -22,14 +24,7 @@ from hdnorm.errors import DivergenceError, HdnormError, ParameterError
 from hdnorm.harness import format_table, loss_config, rows_to_csv
 from hdnorm.loss import hdn_loss
 
-
-def small_fixture(**kw):
-    base = dict(height=16, width=16, background_depth=10.0,
-                fg_top=4, fg_bottom=12, fg_left=4, fg_right=12,
-                base_depth=1.0, ridge_amplitude=0.2, ridge_period=4.0,
-                noise_sigma=0.0, seed=3)
-    base.update(kw)
-    return SceneSpec(**base)
+from conftest import small_fixture
 
 
 def test_scene_two_plane_case():
@@ -60,6 +55,9 @@ def test_scene_spec_validation():
         small_fixture(base_depth=9.9)  # base + amplitude >= background
     with pytest.raises(ParameterError):
         small_fixture(ridge_period=0.0)
+    with pytest.raises(ParameterError):
+        small_fixture(noise_sigma=0.1, seed=-1)
+    small_fixture(seed=-1)  # no noise: the seed is never read
 
 
 def test_fit_config_validation():
@@ -70,6 +68,8 @@ def test_fit_config_validation():
     for init in ("bogus", "constant"):
         with pytest.raises(ParameterError):
             FitConfig("ssi", init=init)
+    with pytest.raises(ParameterError):
+        FitConfig("ssi", seed=-1)
 
 
 def test_loss_config_unknown_kind():
@@ -189,17 +189,25 @@ def test_compare_deterministic():
 
 
 def _fit_pids(monkeypatch, path):
-    """Make every fit append its process id to path; forked workers
-    inherit the patch."""
+    """Make every fit append "start <pid>" to path when it begins and
+    "done <pid>" when it returns; forked workers inherit the patch. The
+    returned reader gives the set of pids logged with one event."""
     fit = harness.fit_depth
 
     def logged(*args, **kw):
         with open(path, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return fit(*args, **kw)
+            f.write(f"start {os.getpid()}\n")
+        result = fit(*args, **kw)
+        with open(path, "a") as f:
+            f.write(f"done {os.getpid()}\n")
+        return result
 
     monkeypatch.setattr(harness, "fit_depth", logged)
-    return lambda: {int(pid) for pid in Path(path).read_text().split()}
+
+    def pids(event="start"):
+        lines = Path(path).read_text().splitlines() if Path(path).exists() else []
+        return {int(pid) for e, pid in map(str.split, lines) if e == event}
+    return pids
 
 
 def test_compare_pool_rows_equal_serial_rows(monkeypatch, tmp_path):
@@ -226,6 +234,63 @@ def test_compare_divergence_raised_through_pool(monkeypatch):
         compare_losses(small_fixture(), cfgs)
     assert info.value.step == 0
     assert str(info.value) == "non-finite loss at step 0"
+
+
+def test_compare_first_error_ends_the_other_fits(monkeypatch, tmp_path):
+    # the diverging fit fails at step 0 while the long one (about 6 s)
+    # has just begun; its worker is ended, not waited for
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pids = _fit_pids(monkeypatch, tmp_path / "log")
+    cfgs = [FitConfig("hdn_s", (1, 2, 4), steps=20000, step_size=50.0),
+            FitConfig("ssi", (1,), steps=8, step_size=float("inf"))]
+    with pytest.raises(DivergenceError):
+        compare_losses(small_fixture(), cfgs)
+    assert pids() and os.getpid() not in pids()
+    assert pids("done") == set()
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_first_error_among_ab_configs_does_not_hang(monkeypatch):
+    # the five A/B configs on the standard fixture, the first diverging:
+    # more fits are queued for the workers when they are ended, and
+    # shutting the pool down must not wait on those queued jobs; the
+    # alarm ends the test run if it hangs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    common = dict(steps=300, step_size=100.0, init="noisy_gt", seed=7)
+    cfgs = [FitConfig("ssi", (1,), steps=300, step_size=float("inf")),
+            FitConfig("hdn_s", (1, 2, 4, 8), **common),
+            FitConfig("hdn_dp", (1, 2, 4), **common),
+            FitConfig("hdn_dr", (1, 2, 4), **common),
+            FitConfig("hdn_dr", (4,), **common)]
+    signal.alarm(60)
+    try:
+        with pytest.raises(DivergenceError):
+            compare_losses(standard_fixture(), cfgs)
+    finally:
+        signal.alarm(0)
+    assert multiprocessing.active_children() == []
+
+
+def test_compare_killed_worker_is_raised(monkeypatch):
+    # a worker ended from outside (say, by the OOM killer) is an error,
+    # not a hang; the alarm ends the test run if it hangs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    fit = harness.fit_depth
+
+    def dying(gt, cfg, foreground=None):
+        if cfg.loss_kind == "ssi":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit(gt, cfg, foreground=foreground)
+
+    monkeypatch.setattr(harness, "fit_depth", dying)
+    cfgs = [FitConfig("hdn_s", (1, 2), steps=8), FitConfig("ssi", (1,), steps=8)]
+    signal.alarm(60)
+    try:
+        with pytest.raises(BrokenProcessPool):
+            compare_losses(small_fixture(), cfgs)
+    finally:
+        signal.alarm(0)
+    assert multiprocessing.active_children() == []
 
 
 def test_errors_survive_pickling():

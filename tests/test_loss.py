@@ -6,6 +6,7 @@ from hdnorm import (
     LevelSpec,
     LossConfig,
     build_hierarchy,
+    generate_scene,
     hdn_loss,
     l1_plus_hdn,
 )
@@ -16,8 +17,15 @@ from hdnorm.errors import (
     ShapeMismatchError,
 )
 
-from conftest import batch_ssi, random_pair, ssi
-from oracles import ref_hdn_gradient, ref_hdn_loss, ref_ssi_loss
+from conftest import batch_ssi, random_pair, small_fixture, ssi
+from oracles import (
+    ref_hdn_gradient,
+    ref_hdn_loss,
+    ref_mad,
+    ref_median,
+    ref_partition,
+    ref_ssi_loss,
+)
 
 
 def global_cfg(gt):
@@ -129,6 +137,72 @@ def test_hdn_matches_brute_force_randomized(rng, kind):
             grad = np.array(ref_hdn_gradient(*args))
             scale = max(np.abs(grad).max(), 1e-6)
             assert np.abs(report.gradient - grad).max() <= 1e-9 * scale
+
+
+def _surviving_contexts(pred, gt, kind, S):
+    """The contexts of level S that pass the filter rule (all pixels of
+    these maps are valid), by the oracle's partition."""
+    H, W = gt.values.shape
+    out = []
+    for ctx in ref_partition(gt.values.tolist(), gt.valid.tolist(), H, W, kind, S):
+        g = [gt.values.flat[i] for i in ctx]
+        if len(ctx) >= 2 and ref_mad(g, ref_median(g)) > 1e-6:
+            out.append(ctx)
+    return out
+
+
+def _middle_rank_pixels(pred, contexts):
+    """Each context's pixels at the lower and upper middle pred rank,
+    tied values ranked by linear index."""
+    out = set()
+    for ctx in contexts:
+        ranked = sorted(ctx, key=lambda i: (pred.values.flat[i], i))
+        out |= {ranked[(len(ctx) - 1) // 2], ranked[len(ctx) // 2]}
+    return out
+
+
+def _assert_gradient_matches_oracle(pred, gt, kind, sizes):
+    H, W = gt.values.shape
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+    got = hdn_loss(pred, gt, cfg, with_gradient=True).gradient
+    want = np.array(ref_hdn_gradient(pred.values.tolist(), gt.values.tolist(),
+                                     pred.valid.tolist(), gt.valid.tolist(),
+                                     H, W, kind, sizes))
+    scale = np.abs(want).max()
+    assert scale > 0
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def test_gradient_one_context_level_short_of_used_pixels():
+    # hdn_dr (1, 4) on the small fixture: depth_range-4 drops the
+    # constant background bin, so it keeps one context, the foreground,
+    # over fewer pixels than the used set. Its members are not the
+    # used pixels, so regrouping pred order by context must still run.
+    # A pred unrelated to gt scatters them through pred order.
+    gt = generate_scene(small_fixture())
+    pred = DepthMap(np.random.default_rng(0).uniform(1, 10, gt.values.shape))
+    (ctx,) = _surviving_contexts(pred, gt, "depth_range", 4)
+    assert 2 <= len(ctx) < gt.valid_count
+    _assert_gradient_matches_oracle(pred, gt, "depth_range", (1, 4))
+
+
+def _shared_middle_rank_cases():
+    # pixel 4 holds the middle rank of the 9-pixel global context and of
+    # its 3-pixel bin (both odd, so the median term lands there twice)
+    yield (DepthMap(np.array([[3.0, 1, 2, 9, 5, 4, 8, 6, 7]])),
+           DepthMap(np.arange(1.0, 10.0)[None]), "depth_percentile", (1, 3), 4)
+    # pixel 1 is a middle rank at every level: 36, 9 and 4 members
+    rng = np.random.default_rng(1)
+    gt = DepthMap(rng.uniform(1, 10, (6, 6)))
+    yield DepthMap(rng.uniform(1, 10, (6, 6))), gt, "spatial", (1, 2, 3), 1
+
+
+@pytest.mark.parametrize("pred,gt,kind,sizes,pixel", _shared_middle_rank_cases())
+def test_gradient_pixel_middle_rank_in_several_levels(pred, gt, kind, sizes, pixel):
+    for S in sizes:
+        ctxs = _surviving_contexts(pred, gt, kind, S)
+        assert pixel in _middle_rank_pixels(pred, ctxs)
+    _assert_gradient_matches_oracle(pred, gt, kind, sizes)
 
 
 def test_hdn_per_level_breakdown(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdnorm import DepthMap, absrel, align_scale_shift, delta1, evaluate, scatter_sample
-from hdnorm.errors import DegenerateAlignmentError, EmptyInputError
+from hdnorm.errors import DegenerateAlignmentError, EmptyInputError, ParameterError
 from hdnorm.metrics import scatter_csv
 
 from conftest import random_pair
@@ -158,6 +158,13 @@ def test_scatter_2000_distinct_from_100x100(rng):
     pairs = scatter_sample(pred, gt, 2000, seed=1)
     assert len(pairs) == 2000
     assert len(set(pairs)) == 2000
+
+
+def test_scatter_rejects_negative_n_and_seed(rng):
+    pred, gt = random_pair(rng, 4, 4)
+    for n, seed in ((-5, 0), (3, -1)):
+        with pytest.raises(ParameterError):
+            scatter_sample(pred, gt, n, seed)
 
 
 def test_scatter_csv_format():
