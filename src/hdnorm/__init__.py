@@ -11,7 +11,7 @@ from .contexts import (
     partition_dump,
 )
 from .loss import LossConfig, LossReport, hdn_loss, l1_plus_hdn, numerical_gradient, tie_mask
-from .metrics import EvalReport, absrel, align_scale_shift, delta1, evaluate, scatter_sample
+from .metrics import EvalReport, align_scale_shift, evaluate, scatter_sample
 from .harness import (
     FitConfig,
     FitReport,

@@ -22,7 +22,8 @@ class ParameterError(HdnormError, ValueError):
 
 
 class InvalidMapError(HdnormError, ValueError):
-    """A map's values or mask are malformed, or not finite where valid."""
+    """A map's values or mask are malformed, not finite where valid, or
+    too large to normalize."""
 
 
 class DegenerateInputError(HdnormError):

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import metrics
 from .contexts import ContextHierarchy, LevelSpec, build_hierarchy, global_context
 from .depth_core import DepthMap
 from .errors import DivergenceError, ParameterError
 from .loss import LossConfig, hdn_loss
-from .metrics import absrel, align_scale_shift
 
 # loss kind -> context kind of its levels; ssi is the one global context
 _CONTEXT_KINDS = {
@@ -84,7 +84,9 @@ class FitConfig:
             raise ParameterError(f"unknown init {self.init!r}")
         if self.steps < 1 or self.step_size <= 0 or self.seed < 0:
             raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")
-        object.__setattr__(self, "level_sizes", tuple(int(s) for s in self.level_sizes))
+        # LevelSpec's size rule, which every context kind shares
+        object.__setattr__(self, "level_sizes",
+                           LevelSpec("spatial", self.level_sizes).sizes)
 
     @property
     def label(self) -> str:
@@ -185,25 +187,20 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
             trajectory.append(current)  # converged; stay put
 
     fitted = DepthMap(pred_vals, gt.valid)
-    global_ar = _aligned_absrel(fitted, gt)
+    global_ar = metrics.evaluate(fitted, gt).absrel
     if foreground is None:
         fg_ar = global_ar
     else:
         r0, r1, c0, c1 = foreground
         fg_pred = DepthMap(fitted.values[r0:r1, c0:c1], fitted.valid[r0:r1, c0:c1])
         fg_gt = DepthMap(gt.values[r0:r1, c0:c1], gt.valid[r0:r1, c0:c1])
-        fg_ar = _aligned_absrel(fg_pred, fg_gt)
+        fg_ar = metrics.evaluate(fg_pred, fg_gt).absrel
     return fitted, FitReport(
         final_loss=trajectory[-1],
         global_absrel=global_ar,
         foreground_local_absrel=fg_ar,
         loss_trajectory=trajectory,
     )
-
-
-def _aligned_absrel(pred: DepthMap, gt: DepthMap) -> float:
-    s, t = align_scale_shift(pred, gt)
-    return absrel(DepthMap(s * pred.values + t, pred.valid), gt)
 
 
 _scene = None  # in a fit worker: the (gt, foreground) of its compare

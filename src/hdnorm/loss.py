@@ -43,7 +43,7 @@ import numpy as np
 
 from .contexts import ContextHierarchy
 from .depth_core import DepthMap, joint_valid
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
 EPS = 1e-6
 # how close to a median/sign/clamp tie tie_mask flags a context
@@ -101,8 +101,12 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
             if idx.size < 2:
                 continue
             gvals = gf[idx]
-            gm = np.median(gvals)
-            gmad = np.mean(np.abs(gvals - gm))
+            with np.errstate(over="ignore", invalid="ignore"):
+                gm = np.median(gvals)
+                gmad = np.mean(np.abs(gvals - gm))
+            if not np.isfinite(gmad):
+                raise InvalidMapError("gt values too large to normalize: the MAD "
+                                      f"of a {part.level_tag} context overflows")
             if gmad <= EPS:
                 continue
             kept.append(idx)

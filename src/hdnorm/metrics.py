@@ -1,10 +1,11 @@
 """Evaluation protocol: least-squares scale/shift alignment, AbsRel,
-delta-threshold accuracy, and the prediction-vs-gt scatter sample.
+delta1 accuracy, and the prediction-vs-gt scatter sample.
 
-Predictions are aligned to ground truth by the closed-form least-squares
-(scale, shift) before metric computation. Pixels with nonpositive ground
-truth are excluded (the relative error divides by gt); negative aligned
-predictions are kept as-is and count as delta1 failures.
+`evaluate` is the one scorer. By default it first aligns the prediction
+to ground truth by the closed-form least-squares (scale, shift). It
+scores the joint-valid pixels with positive ground truth (the relative
+error divides by gt). Negative aligned predictions are kept as-is and
+count as delta1 failures.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depth_core import DepthMap, joint_valid
-from .errors import DegenerateAlignmentError, EmptyInputError, ParameterError
+from .errors import (DegenerateAlignmentError, EmptyInputError, InvalidMapError,
+                     ParameterError)
 
 
 @dataclass(frozen=True)
@@ -58,45 +60,30 @@ def align_scale_shift(pred: DepthMap, gt: DepthMap) -> tuple[float, float]:
     return math.ldexp(s, -exp), t
 
 
-def absrel(pred_aligned: DepthMap, gt: DepthMap) -> float:
-    """Mean |d - d*| / d* over joint-valid pixels with d* > 0."""
-    d, dstar = _joint_values(pred_aligned, gt)
+def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
+    """AbsRel (mean |d - d*| / d*) and delta1 (the fraction with
+    max(d/d*, d*/d) < 1.25) over the joint-valid pixels with d* > 0,
+    where d = s*pred + t with (s, t) from align_scale_shift, or
+    d = pred without align."""
+    s, t = align_scale_shift(pred, gt) if align else (1.0, 0.0)
+    d, dstar = _joint_values(pred, gt)
     keep = dstar > 0
     if not keep.any():
         raise EmptyInputError("no pixels with positive ground truth")
-    return float(np.mean(np.abs(d[keep] - dstar[keep]) / dstar[keep]))
-
-
-def delta1(pred_aligned: DepthMap, gt: DepthMap, threshold: float = 1.25) -> float:
-    """Fraction of counted pixels with max(d/d*, d*/d) < threshold.
-    Nonpositive aligned predictions count as failures."""
-    d, dstar = _joint_values(pred_aligned, gt)
-    keep = dstar > 0
-    if not keep.any():
-        raise EmptyInputError("no pixels with positive ground truth")
-    d, dstar = d[keep], dstar[keep]
+    dstar = dstar[keep]
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = s * d[keep] + t
+    if not np.isfinite(d).all():
+        raise InvalidMapError("aligned prediction is not finite at a counted pixel")
     ok = d > 0
     ratio = np.full(d.shape, np.inf)
     ratio[ok] = np.maximum(d[ok] / dstar[ok], dstar[ok] / d[ok])
-    return float(np.mean(ratio < threshold))
-
-
-def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
-    """Full protocol: optional alignment, then AbsRel and delta1."""
-    if align:
-        s, t = align_scale_shift(pred, gt)
-        aligned = DepthMap(s * pred.values + t, pred.valid)
-    else:
-        s, t = 1.0, 0.0
-        aligned = pred
-    _, dstar = _joint_values(pred, gt)
-    counted = int((dstar > 0).sum())
     return EvalReport(
-        absrel=absrel(aligned, gt),
-        delta1=delta1(aligned, gt),
+        absrel=float(np.mean(np.abs(d - dstar) / dstar)),
+        delta1=float(np.mean(ratio < 1.25)),
         scale=s, shift=t,
-        pixels=counted,
-        excluded_nonpositive_gt=int(dstar.size - counted),
+        pixels=int(d.size),
+        excluded_nonpositive_gt=int(keep.size - d.size),
     )
 
 

@@ -26,8 +26,7 @@ from hdnorm import (
     write_mask,
     write_pfm,
     align_scale_shift,
-    absrel,
-    delta1,
+    evaluate,
 )
 
 from conftest import batch_ssi, random_pair, row, ssi
@@ -192,9 +191,9 @@ def test_criterion_6_metrics_oracles():
     ok = True
     pred = DepthMap(np.array([[1.0, 3.0]]))
     gt = DepthMap(np.array([[2.0, 2.0]]))
-    ok &= absrel(pred, gt) == 0.5
-    ok &= delta1(DepthMap(np.array([[1.0, 1.0]])),
-                 DepthMap(np.array([[1.0, 2.0]]))) == 0.5
+    ok &= evaluate(pred, gt, align=False).absrel == 0.5
+    ok &= evaluate(DepthMap(np.array([[1.0, 1.0]])),
+                   DepthMap(np.array([[1.0, 2.0]])), align=False).delta1 == 0.5
     rng = np.random.default_rng(1006)
     for trial in range(20):
         p, g = random_pair(rng, 6, 6)

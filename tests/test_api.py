@@ -8,12 +8,11 @@ import hdnorm
 PUBLIC = [
     "ContextHierarchy", "DepthMap", "EvalReport", "FitConfig", "FitReport",
     "LevelSpec", "LossConfig", "LossReport", "Partition", "SceneSpec",
-    "absrel", "align_scale_shift", "build_hierarchy", "compare_losses",
-    "delta1", "evaluate", "fit_depth", "generate_scene", "global_context",
-    "hdn_loss", "l1_plus_hdn", "loss_config", "numerical_gradient",
-    "partition_dump", "read_csv_map", "read_mask", "read_pfm",
-    "scatter_sample", "standard_fixture", "tie_mask", "write_mask",
-    "write_pfm",
+    "align_scale_shift", "build_hierarchy", "compare_losses", "evaluate",
+    "fit_depth", "generate_scene", "global_context", "hdn_loss",
+    "l1_plus_hdn", "loss_config", "numerical_gradient", "partition_dump",
+    "read_csv_map", "read_mask", "read_pfm", "scatter_sample",
+    "standard_fixture", "tie_mask", "write_mask", "write_pfm",
 ]
 
 

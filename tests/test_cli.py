@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -356,10 +357,14 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         ["synth", "--out", out, "--noise-sigma", "0.1", "--seed", "-2"],
         ["fit", "--steps", "2", "--fit-seed", "-1"],
         ["fit", "--steps", "2", "--levels", "a"],
+        # gt MAD overflow: the gt is at fault, not the optimizer
+        ["fit", "--steps", "2", "--background-depth", "1e308", "--base-depth", "1e307"],
         ["compare", "--steps", "2", "--loss", "nope"],
     ]
     for argv in cases:
-        rc, stdout, err = run(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc, stdout, err = run(capsys, *argv)
         assert (rc, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert not (tmp / "out.pfm").exists()

@@ -3,11 +3,21 @@ import warnings
 import numpy as np
 import pytest
 
-from hdnorm import DepthMap, absrel, align_scale_shift, delta1, evaluate, scatter_sample
-from hdnorm.errors import DegenerateAlignmentError, EmptyInputError, ParameterError
+from hdnorm import DepthMap, align_scale_shift, evaluate, scatter_sample
+from hdnorm.errors import (DegenerateAlignmentError, EmptyInputError, InvalidMapError,
+                           ParameterError)
 from hdnorm.metrics import scatter_csv
 
 from conftest import random_pair
+
+
+# the two metrics of evaluate without alignment, on pred as given
+def absrel(pred, gt):
+    return evaluate(pred, gt, align=False).absrel
+
+
+def delta1(pred, gt):
+    return evaluate(pred, gt, align=False).delta1
 
 
 def test_align_identity(rng):
@@ -137,6 +147,24 @@ def test_evaluate_alignment_absorbs_affine(rng):
     assert report.delta1 == 1.0
     assert (report.scale, report.shift) == pytest.approx((4.0, 8.0), abs=1e-6)
     assert report.pixels == gt.valid_count
+
+
+def test_evaluate_counts_and_excludes_nonpositive_gt():
+    pred = DepthMap(np.array([[1.0, 100.0, 2.0]]), np.array([[1, 1, 0]], bool))
+    gt = DepthMap(np.array([[1.0, -5.0, 2.0]]))
+    report = evaluate(pred, gt, align=False)
+    assert (report.pixels, report.excluded_nonpositive_gt) == (1, 1)
+    assert (report.scale, report.shift) == (1.0, 0.0)
+
+
+def test_evaluate_rejects_non_finite_aligned_pred():
+    # the least-squares scale and shift overflow, so s*d + t is not finite
+    pred = DepthMap([[1.0, 2.0]])
+    gt = DepthMap([[-1.5e308, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidMapError):
+            evaluate(pred, gt)
 
 
 def test_scatter_all_pairs_when_n_large(rng):
