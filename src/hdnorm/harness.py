@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics
 from .contexts import ContextHierarchy, LevelSpec, build_hierarchy, global_context
 from .depth_core import DepthMap
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, InvalidMapError, ParameterError
 from .loss import LossConfig, hdn_loss
 
 # loss kind -> context kind of its levels; ssi is the one global context
@@ -156,10 +156,10 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
     change. Raises DivergenceError when the loss is non-finite or no
     halving of the step gives a finite candidate."""
     loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
-    pred_vals = _initial_prediction(gt, cfg)
+    pred = DepthMap(_initial_prediction(gt, cfg), gt.valid)
     lr = cfg.step_size
 
-    report = hdn_loss(DepthMap(pred_vals, gt.valid), gt, loss_cfg, with_gradient=True)
+    report = hdn_loss(pred, gt, loss_cfg, with_gradient=True)
     trajectory = [report.value]
     grad = report.gradient
     for step in range(cfg.steps):
@@ -169,33 +169,35 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
         moved = finite = False
         for _ in range(60):
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = pred_vals - lr * grad
-            if np.isfinite(cand[gt.valid]).all():
-                finite = True
-                cand_report = hdn_loss(DepthMap(cand, gt.valid), gt, loss_cfg,
-                                       with_gradient=True)
-                if cand_report.value <= current:
-                    pred_vals = cand
-                    grad = cand_report.gradient
-                    trajectory.append(cand_report.value)
-                    moved = True
-                    break
+                cand = pred.values - lr * grad
+            try:  # DepthMap rejects a non-finite value at a valid pixel
+                cand_map = DepthMap(cand, gt.valid)
+            except InvalidMapError:
+                lr /= 2
+                continue
+            finite = True
+            cand_report = hdn_loss(cand_map, gt, loss_cfg, with_gradient=True)
+            if cand_report.value <= current:
+                pred = cand_map
+                grad = cand_report.gradient
+                trajectory.append(cand_report.value)
+                moved = True
+                break
             lr /= 2
         if not finite:
             raise DivergenceError(step)
         if not moved:
             trajectory.append(current)  # converged; stay put
 
-    fitted = DepthMap(pred_vals, gt.valid)
-    global_ar = metrics.evaluate(fitted, gt).absrel
+    global_ar = metrics.evaluate(pred, gt).absrel
     if foreground is None:
         fg_ar = global_ar
     else:
         r0, r1, c0, c1 = foreground
-        fg_pred = DepthMap(fitted.values[r0:r1, c0:c1], fitted.valid[r0:r1, c0:c1])
+        fg_pred = DepthMap(pred.values[r0:r1, c0:c1], pred.valid[r0:r1, c0:c1])
         fg_gt = DepthMap(gt.values[r0:r1, c0:c1], gt.valid[r0:r1, c0:c1])
         fg_ar = metrics.evaluate(fg_pred, fg_gt).absrel
-    return fitted, FitReport(
+    return pred, FitReport(
         final_loss=trajectory[-1],
         global_absrel=global_ar,
         foreground_local_absrel=fg_ar,
@@ -206,9 +208,19 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
 _scene = None  # in a fit worker: the (gt, foreground) of its compare
 
 
-def _init_worker(gt, foreground) -> None:
+def _init_worker(gt, foreground, parent: int) -> None:
     global _scene
     _scene = (gt, foreground)
+    # a worker whose parent is gone has no one to report to: have Linux
+    # kill it when the parent exits (prctl PR_SET_PDEATHSIG = 1), and
+    # exit now if the parent exited before the call
+    import ctypes
+    import signal
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(1, signal.SIGKILL)
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _fit_report(cfg) -> FitReport:
@@ -224,7 +236,8 @@ def compare_losses(spec: SceneSpec, configs) -> list:
     one per CPU this process may run on and at most one per config. With
     one worker (one config, one CPU, or no fork) they run in this
     process. The rows are the same either way. The first fit to raise
-    ends the others, and its error is raised here."""
+    ends the others, and its error is raised here. A worker also ends
+    when this process exits, even when it is killed."""
     if not configs:
         raise ParameterError("compare_losses needs at least one config")
     gt = generate_scene(spec)
@@ -240,7 +253,7 @@ def compare_losses(spec: SceneSpec, configs) -> list:
         # pipe left full when the workers are ended can stall shutdown
         with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                  initializer=_init_worker,
-                                 initargs=(gt, spec.foreground)) as pool:
+                                 initargs=(gt, spec.foreground, os.getpid())) as pool:
             futures = [pool.submit(_fit_report, cfg) for cfg in configs]
             done, _ = wait(futures, return_when=FIRST_EXCEPTION)
             errors = [f.exception() for f in futures if f in done and f.exception()]

@@ -16,17 +16,23 @@ degenerate context carries no relative-depth signal (a singleton has
 gt MAD 0). Every MAD is clamped at EPS before it divides.
 
 An evaluation has two parts. The *plan* holds what depends only on the
-gt and the joint mask: per level, the members of the surviving contexts
-as one flat array grouped by context, their normalized gt values and
-their weights. A LossConfig remembers the plan of the last (gt, joint
-mask) it evaluated, so calls that reuse one gt build it once. The
-*pass* does the per-prediction work with no loop over contexts: one
-argsort of pred serves every level, a stable sort of each level's
-context labels regroups it (unless the level is one context over every
-used pixel) so that every context's median sits at a known offset, and
-segment sums give the MAD and the gradient terms. The median's
-derivative is nonzero only at a context's one or two middle ranks, so
-its terms are a sparse update at those pixels.
+gt and the joint mask. It groups consecutive levels into *blocks* of at
+most BLOCK_MEMBERS members (a larger level is a block of its own). A
+block lists the members of its levels' surviving contexts as one flat
+array grouped by context, with their normalized gt values and their
+weights. A LossConfig remembers the plan of the last (gt, joint mask)
+it evaluated, so calls that reuse one gt build it once. The *pass* does
+the per-prediction work with no loop over contexts. One argsort of pred
+serves every level, and a stable sort of each level's context labels
+regroups it (unless the level is one context over every used pixel) so
+that every context's median sits at a known offset. Each block then
+runs one forward and one backward pass: elementwise ops, and segment
+sums for the MAD and the gradient terms. The loss and the per-level
+values sum each level's slice of the block. On a small map numpy's
+per-call cost dominates, so stacking its levels pays; a large map runs
+its levels one at a time, because stacked temporaries fall out of
+cache. The median's derivative is nonzero only at a context's one or
+two middle ranks, so its terms are a sparse update at those pixels.
 
 Gradients treat the median's sort selection and every sign() as
 locally constant; the loss is piecewise smooth and tests skip tie
@@ -36,7 +42,7 @@ first, and the median derivative follows that rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,6 +54,9 @@ from .errors import DegenerateInputError, InvalidMapError, ParameterError
 EPS = 1e-6
 # how close to a median/sign/clamp tie tie_mask flags a context
 TIE_MARGIN = 1e-4
+# most members in one block: stacked 4k-member levels (64x64) ran 25% faster,
+# stacked 73k-member ones (240x320) 10% slower, out of cache
+BLOCK_MEMBERS = 2**16
 
 
 @dataclass(frozen=True)
@@ -67,28 +76,43 @@ class LossReport:
 
 
 @dataclass(frozen=True)
-class _LevelPlan:
-    """The surviving contexts of one level. Members are listed context
-    by context, in ascending linear index within each context."""
+class _Level:
+    """One level of a block. Its surviving contexts are listed in order,
+    members [start, stop) of the block's flat arrays."""
 
     tag: str
+    label: np.ndarray  # per map pixel: its context, the context count if none
+    start: int
+    stop: int
+    lo: np.ndarray     # per context: position of its lower and upper
+    hi: np.ndarray     # middle rank in the level's pred-sorted members
+    whole: bool        # one context over every used pixel
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Consecutive levels run as one pass. Members are listed level by
+    level, context by context, in ascending linear index within each
+    context."""
+
+    levels: tuple
     pix: np.ndarray      # linear index of each member
     sizes: np.ndarray    # members per context
     offsets: np.ndarray  # start of each context in pix
-    label: np.ndarray    # per map pixel: its context, len(sizes) if none
     ng: np.ndarray       # normalized gt per member
-    share: np.ndarray = None  # per member: 1 / surviving contexts of its pixel
+    share: np.ndarray    # per member: 1 / surviving contexts of its pixel
 
 
 @dataclass(frozen=True)
 class _Plan:
-    levels: tuple
+    blocks: tuple
     used: np.ndarray  # pixels in at least one surviving context
 
 
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
-    filter rule rejects, and flatten the rest."""
+    filter rule rejects, flatten the rest and group the levels into
+    blocks."""
     jf = joint.ravel()
     gf = gt.values.ravel()
     npix = gf.size
@@ -117,15 +141,38 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
         label = np.full(npix, k, dtype=np.int16 if k < 2**15 else np.int32)
         label[pix] = np.repeat(np.arange(k), sizes)
         counts += label < k
-        levels.append(_LevelPlan(part.level_tag, pix, sizes,
-                                 np.cumsum(sizes) - sizes, label,
-                                 np.concatenate(ngs) if ngs else np.empty(0)))
+        levels.append((part.level_tag, label, pix, sizes,
+                       np.concatenate(ngs) if ngs else np.empty(0)))
     used = np.flatnonzero(counts)
     if used.size == 0:
         raise DegenerateInputError("all contexts filtered out")
+    groups, members = [[]], 0
+    for lv in levels:
+        if groups[-1] and members + lv[2].size > BLOCK_MEMBERS:
+            groups.append([])
+            members = 0
+        groups[-1].append(lv)
+        members += lv[2].size
     # a pixel's context count is known once every level is filtered
-    return _Plan(tuple(replace(lv, share=1.0 / counts[lv.pix]) for lv in levels),
-                 used)
+    return _Plan(tuple(_block(g, counts, used.size) for g in groups), used)
+
+
+def _block(group, counts, used: int) -> _Block:
+    """One block of the (tag, label, pix, sizes, ng) levels in group. A
+    block of one level holds that level's own arrays."""
+    def cat(arrays):
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    levels, start = [], 0
+    for tag, label, pix, sizes, _ in group:
+        offsets = np.cumsum(sizes) - sizes
+        levels.append(_Level(tag, label, start, start + pix.size,
+                             offsets + (sizes - 1) // 2, offsets + sizes // 2,
+                             sizes.size == 1 and sizes[0] == used))
+        start += pix.size
+    pix = cat([g[2] for g in group])
+    sizes = cat([g[3] for g in group])
+    return _Block(tuple(levels), pix, sizes, np.cumsum(sizes) - sizes,
+                  cat([g[4] for g in group]), 1.0 / counts[pix])
 
 
 def _plan_for(cfg: LossConfig, gt: DepthMap, joint: np.ndarray) -> _Plan:
@@ -156,30 +203,31 @@ def _pred_order(plan: _Plan, pf: np.ndarray, stable: bool) -> np.ndarray:
     return plan.used[order]
 
 
-def _middle_ranks(lv: _LevelPlan, order: np.ndarray):
-    """Pixels at the lower and upper middle rank of each context (one
-    pixel for odd sizes). The stable sort of the labels, a radix sort
-    for int16, keeps pred order within each context. A level whose one
-    context holds every used pixel is already in that order."""
-    lo, hi = lv.offsets + (lv.sizes - 1) // 2, lv.offsets + lv.sizes // 2
-    if lv.sizes.size != 1 or lv.sizes[0] < order.size:
+def _middle_ranks(lv: _Level, order: np.ndarray):
+    """Pixels at the lower and upper middle rank of each context of one
+    level (one pixel for odd sizes). The stable sort of the labels, a
+    radix sort for int16, keeps pred order within each context. A level
+    whose one context holds every used pixel is already in that order."""
+    lo, hi = lv.lo, lv.hi
+    if not lv.whole:
         perm = np.argsort(lv.label[order], kind="stable")
         lo, hi = perm[lo], perm[hi]
     return order[lo], order[hi]
 
 
-def _level_pass(lv: _LevelPlan, pf: np.ndarray, order: np.ndarray):
-    """(lo, hi, dev, mad, res) of one level: the middle-rank pixels, and
-    per member the deviation from the context median and the normalized
-    residual; mad is the unclamped MAD per context."""
-    lo, hi = _middle_ranks(lv, order)
+def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
+    """(lo, hi, dev, mad, res) of one block: the middle-rank pixels of
+    each context, and per member the deviation from the context median
+    and the normalized residual; mad is the unclamped MAD per context."""
+    lo, hi = map(np.concatenate,
+                 zip(*(_middle_ranks(lv, order) for lv in block.levels)))
     # equals np.median's (a + b) / 2 and cannot overflow when a == b
     med = 0.5 * pf[lo] + 0.5 * pf[hi]
-    dev = pf[lv.pix]
-    dev -= np.repeat(med, lv.sizes)
-    mad = np.add.reduceat(np.abs(dev), lv.offsets) / lv.sizes
-    res = dev / np.repeat(np.maximum(mad, EPS), lv.sizes)
-    res -= lv.ng
+    dev = pf[block.pix]
+    dev -= np.repeat(med, block.sizes)
+    mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
+    res = dev / np.repeat(np.maximum(mad, EPS), block.sizes)
+    res -= block.ng
     return lo, hi, dev, mad, res
 
 
@@ -195,40 +243,47 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     used, value = plan.used.size, 0.0
     gradient = np.zeros(pred.values.shape) if with_gradient else None
     per_level = []
-    for lv in plan.levels:
-        lo, hi, dev, mad, res = _level_pass(lv, pf, order)
+    for block in plan.blocks:
+        lo, hi, dev, mad, res = _block_pass(block, pf, order)
         if with_gradient:
-            _add_level_gradient(gradient.reshape(-1), lv, lo, hi, dev, mad, res, used)
+            _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev, mad,
+                                res, used)
         res = np.abs(res)
-        per_level.append((lv.tag, float(res.sum()) / res.size if res.size else 0.0))
-        res *= lv.share
-        value += float(res.sum())
+        for lv in block.levels:
+            n = lv.stop - lv.start
+            per_level.append((lv.tag, float(res[lv.start:lv.stop].sum()) / n
+                              if n else 0.0))
+        res *= block.share
+        for lv in block.levels:
+            value += float(res[lv.start:lv.stop].sum())
     value /= used
     return LossReport(value=value, gradient=gradient, per_level=per_level,
                       used_pixels=int(used))
 
 
-def _add_level_gradient(gradient, lv, lo, hi, dev, mad, res, used) -> None:
-    """Add one level's d(loss)/d(pred) to gradient: ws/s - sign(dev)*v
+def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, used) -> None:
+    """Add one block's d(loss)/d(pred) to gradient: ws/s - sign(dev)*v
     at every member, and each context's median term z at its lower and
-    upper middle-rank pixel (one pixel, twice, for odd sizes)."""
+    upper middle-rank pixel (one pixel, twice, for odd sizes). A pixel
+    is a member, and may be a middle rank, once per level, so the adds
+    accumulate repeated indices."""
     # deadband so numerically-affine predictions (residuals at
     # rounding noise) get an exactly zero gradient
-    ws = np.where(np.abs(res) > 1e-12, np.copysign(lv.share, res), 0.0)
+    ws = np.where(np.abs(res) > 1e-12, np.copysign(block.share, res), 0.0)
     sgn = np.sign(dev)
     s = np.maximum(mad, EPS)
     c = 1.0 / (s * used)  # ws holds share, so 1/used folds in here
     # -d(loss)/d(MAD) / n; zero where the clamp holds s at EPS
-    v = np.add.reduceat(ws * dev, lv.offsets) / s * c / lv.sizes
+    v = np.add.reduceat(ws * dev, block.offsets) / s * c / block.sizes
     v[mad <= EPS] = 0.0
-    z = 0.5 * (np.add.reduceat(sgn, lv.offsets) * v
-               - np.add.reduceat(ws, lv.offsets) * c)
-    ws *= np.repeat(c, lv.sizes)
-    sgn *= np.repeat(v, lv.sizes)
+    z = 0.5 * (np.add.reduceat(sgn, block.offsets) * v
+               - np.add.reduceat(ws, block.offsets) * c)
+    ws *= np.repeat(c, block.sizes)
+    sgn *= np.repeat(v, block.sizes)
     ws -= sgn
-    gradient[lv.pix] += ws
-    gradient[lo] += z
-    gradient[hi] += z
+    np.add.at(gradient, block.pix, ws)
+    np.add.at(gradient, lo, z)
+    np.add.at(gradient, hi, z)
 
 
 def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
@@ -280,22 +335,22 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
     pf = pred.values.ravel()
     order = _pred_order(plan, pf, stable=False)
     tied = np.zeros(pf.size, dtype=bool)
-    for lv in plan.levels:
-        lo, hi, dev, mad, res = _level_pass(lv, pf, order)
-        d = pf[lv.pix]
+    for block in plan.blocks:
+        lo, hi, dev, mad, res = _block_pass(block, pf, order)
+        d = pf[block.pix]
         absdev = np.abs(dev)
         # sign(dev) flips; the middle's own dev is identically zero
         near = (absdev > 0) & (absdev < TIE_MARGIN)
         # order crossings that reselect the median
         for mid in (lo, hi):
-            dist = np.abs(d - np.repeat(pf[mid], lv.sizes))
+            dist = np.abs(d - np.repeat(pf[mid], block.sizes))
             near |= (dist > 0) & (dist < TIE_MARGIN)
         # residual sign flips, scaled by the normalization slope
         s = np.maximum(mad, EPS)
         near |= np.abs(res) < np.repeat(TIE_MARGIN * np.maximum(1.0, 1.0 / s),
-                                        lv.sizes)
-        flag = np.logical_or.reduceat(near, lv.offsets)
+                                        block.sizes)
+        flag = np.logical_or.reduceat(near, block.offsets)
         # clamp branch switch
         flag |= np.abs(mad - EPS) < TIE_MARGIN
-        tied[lv.pix[np.repeat(flag, lv.sizes)]] = True
+        tied[block.pix[np.repeat(flag, block.sizes)]] = True
     return tied.reshape(pred.values.shape)

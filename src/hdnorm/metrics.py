@@ -75,12 +75,12 @@ def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
         d = s * d[keep] + t
     if not np.isfinite(d).all():
         raise InvalidMapError("aligned prediction is not finite at a counted pixel")
-    ok = d > 0
-    ratio = np.full(d.shape, np.inf)
-    ratio[ok] = np.maximum(d[ok] / dstar[ok], dstar[ok] / d[ok])
+    # a nonpositive d fails; the ratios it makes are masked out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        within = (d > 0) & (np.maximum(d / dstar, dstar / d) < 1.25)
     return EvalReport(
         absrel=float(np.mean(np.abs(d - dstar) / dstar)),
-        delta1=float(np.mean(ratio < 1.25)),
+        delta1=float(np.mean(within)),
         scale=s, shift=t,
         pixels=int(d.size),
         excluded_nonpositive_gt=int(keep.size - d.size),

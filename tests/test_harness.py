@@ -3,6 +3,9 @@ import os
 import pickle
 import shlex
 import signal
+import subprocess
+import sys
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -205,11 +208,12 @@ def _fit_pids(monkeypatch, path):
         return result
 
     monkeypatch.setattr(harness, "fit_depth", logged)
+    return lambda event="start": _logged_pids(path, event)
 
-    def pids(event="start"):
-        lines = Path(path).read_text().splitlines() if Path(path).exists() else []
-        return {int(pid) for e, pid in map(str.split, lines) if e == event}
-    return pids
+
+def _logged_pids(path, event="start"):
+    lines = Path(path).read_text().splitlines() if Path(path).exists() else []
+    return {int(pid) for e, pid in map(str.split, lines) if e == event}
 
 
 def test_compare_pool_rows_equal_serial_rows(monkeypatch, tmp_path):
@@ -293,6 +297,52 @@ def test_compare_killed_worker_is_raised(monkeypatch):
     finally:
         signal.alarm(0)
     assert multiprocessing.active_children() == []
+
+
+def _exited(pid) -> bool:
+    """pid is gone, or is a zombie that nothing has reaped yet."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads process states from /proc")
+def test_compare_workers_exit_with_terminated_parent(tmp_path):
+    # a process killed by SIGTERM mid-compare leaves no fit running
+    log = tmp_path / "log"
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    code = "\n".join([
+        "import os, sys, pytest",
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})",
+        "from conftest import small_fixture",
+        "from test_harness import _fit_pids",
+        "from hdnorm import FitConfig, compare_losses",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
+        f"_fit_pids(pytest.MonkeyPatch(), {str(log)!r})",
+        "compare_losses(small_fixture(), 2 * [FitConfig('hdn_s', (1, 2), steps=10**6)])",
+    ])
+    proc = subprocess.Popen([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=src))
+    try:
+        deadline = time.monotonic() + 60
+        while (len(_logged_pids(log)) < 2 and proc.poll() is None
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+    finally:
+        proc.terminate()
+        proc.wait(30)
+    workers = _logged_pids(log)
+    assert len(workers) == 2
+    deadline = time.monotonic() + 10
+    while not all(map(_exited, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if not _exited(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def test_errors_survive_pickling():

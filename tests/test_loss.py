@@ -10,6 +10,7 @@ from hdnorm import (
     hdn_loss,
     l1_plus_hdn,
 )
+from hdnorm import loss
 from hdnorm.errors import (
     DegenerateInputError,
     EmptyInputError,
@@ -356,3 +357,49 @@ def test_used_pixels_counts_joint_mask(rng):
     cfg = global_cfg(gt)
     assert hdn_loss(pred, gt, cfg).used_pixels == int(
         (pred.valid & gt.valid).sum())
+
+
+def _blocked_results(pred, gt, hier):
+    """(report with gradient, forward-only report, tie mask, blocks) under
+    the block cap in force when the call is made."""
+    cfg = LossConfig(hier)
+    report = hdn_loss(pred, gt, cfg, with_gradient=True)
+    return (report, hdn_loss(pred, gt, cfg), loss.tie_mask(pred, gt, cfg),
+            cfg._memo[2].blocks)
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("spatial", (1, 2, 4, 8)),
+    ("spatial", (1, 16, 2, 4)),  # level 16 is all single pixels: filtered
+    ("depth_percentile", (1, 2, 4)),
+    ("depth_range", (1, 2, 4)),
+])
+def test_blocked_pass_matches_level_by_level(rng, monkeypatch, kind, sizes):
+    # small maps stack every level into one block by default; a cap of 1
+    # runs each level alone, and a cap of two levels' members groups them
+    # in pairs. Every trial with ties (rounded maps) also exercises the
+    # stable sort and the middle ranks a pixel holds in several levels.
+    for trial in range(12):
+        h, w = int(rng.integers(8, 17)), int(rng.integers(8, 17))
+        pred, gt = random_pair(rng, h, w, mask_prob=0.3)
+        if trial % 2:
+            pred = DepthMap(np.round(4 * pred.values) / 4, pred.valid)
+            gt = DepthMap(np.round(4 * gt.values) / 4, gt.valid)
+        hier = build_hierarchy(gt, LevelSpec(kind, sizes))
+        want, want_fwd, want_tied, blocks = _blocked_results(pred, gt, hier)
+        assert len(blocks) == 1
+        if 16 in sizes:
+            empty = blocks[0].levels[sizes.index(16)]
+            assert empty.start == empty.stop
+        used = int((pred.valid & gt.valid).sum())
+        for cap in (1, 2 * used):
+            with monkeypatch.context() as m:
+                m.setattr(loss, "BLOCK_MEMBERS", cap)
+                got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
+            assert 1 < len(blocks) <= len(sizes)
+            assert cap > 1 or len(blocks) == len(sizes)
+            assert got.value == want.value and got_fwd.value == want_fwd.value
+            assert got.per_level == want.per_level == want_fwd.per_level
+            scale = np.abs(want.gradient).max()
+            assert np.abs(got.gradient - want.gradient).max() <= 1e-15 * scale
+            assert np.array_equal(got_tied, want_tied)
