@@ -54,6 +54,9 @@ class SceneSpec:
         if not (0 <= self.fg_top < self.fg_bottom <= self.height
                 and 0 <= self.fg_left < self.fg_right <= self.width):
             raise ParameterError("foreground rectangle must lie within the image")
+        if not np.isfinite([self.background_depth, self.base_depth, self.ridge_amplitude,
+                            self.ridge_period, self.noise_sigma]).all():
+            raise ParameterError("scene depths, ridge and noise must be finite")
         if self.base_depth <= 0 or self.background_depth <= 0:
             raise ParameterError("depths must be positive")
         if self.ridge_amplitude < 0 or self.ridge_period <= 0 or self.noise_sigma < 0:
@@ -82,7 +85,8 @@ class FitConfig:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
         if self.init not in INIT_KINDS:
             raise ParameterError(f"unknown init {self.init!r}")
-        if self.steps < 1 or self.step_size <= 0 or self.seed < 0:
+        # an inf step size stays inf when halved: fit_depth reports it diverged
+        if self.steps < 1 or not self.step_size > 0 or self.seed < 0:
             raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")
         # LevelSpec's size rule, which every context kind shares
         object.__setattr__(self, "level_sizes",

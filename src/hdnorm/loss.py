@@ -16,12 +16,16 @@ degenerate context carries no relative-depth signal (a singleton has
 gt MAD 0). Every MAD is clamped at EPS before it divides.
 
 An evaluation has two parts. The *plan* holds what depends only on the
-gt and the joint mask. It groups consecutive levels into *blocks* of at
-most BLOCK_MEMBERS members (a larger level is a block of its own). A
-block lists the members of its levels' surviving contexts as one flat
-array grouped by context, with their normalized gt values and their
-weights. A LossConfig remembers the plan of the last (gt, joint mask)
-it evaluated, so calls that reuse one gt build it once. The *pass* does
+gt and the joint mask. It is built level by level from each partition's
+flat member array: one joint-mask filter, one gather of gt values, and
+per-context medians (one np.partition each) and MADs (one slice sum
+each), computed exactly as np.median and np.mean would. It groups
+consecutive levels into *blocks* of at most BLOCK_MEMBERS members (a
+larger level is a block of its own). A block lists the members of its
+levels' surviving contexts as one flat array grouped by context, with
+their normalized gt values and their weights. A LossConfig remembers
+the plan of the last (gt, joint mask) it evaluated, so calls that reuse
+one gt build it once. The *pass* does
 the per-prediction work with no loop over contexts. One argsort of pred
 serves every level, and a stable sort of each level's context labels
 regroups it (unless the level is one context over every used pixel) so
@@ -47,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from .contexts import ContextHierarchy
+from .contexts import ContextHierarchy, stable_argsort
 from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
@@ -111,38 +115,52 @@ class _Plan:
 
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
-    filter rule rejects, flatten the rest and group the levels into
-    blocks."""
+    filter rule rejects, and group the levels into blocks. Each level is
+    one flat pass over its members; only the medians and the MADs take a
+    loop over contexts, whose slices they reduce as np.median and
+    np.mean do."""
     jf = joint.ravel()
     gf = gt.values.ravel()
     npix = gf.size
     counts = np.zeros(npix, dtype=np.int64)
     levels = []
     for part in cfg.hierarchy.levels:
-        kept, ngs = [], []
-        for ctx in part.contexts:
-            idx = ctx[jf[ctx]]
-            if idx.size < 2:
-                continue
-            gvals = gf[idx]
-            with np.errstate(over="ignore", invalid="ignore"):
-                gm = np.median(gvals)
-                gmad = np.mean(np.abs(gvals - gm))
-            if not np.isfinite(gmad):
-                raise InvalidMapError("gt values too large to normalize: the MAD "
-                                      f"of a {part.level_tag} context overflows")
-            if gmad <= EPS:
-                continue
-            kept.append(idx)
-            ngs.append((gvals - gm) / gmad)
-        k = len(kept)
-        sizes = np.array([idx.size for idx in kept], dtype=np.intp)
-        pix = np.concatenate(kept) if kept else np.empty(0, dtype=np.intp)
+        pix, sizes = part.members, part.sizes
+        joint_pix = jf[pix]
+        if not joint_pix.all():
+            pix = pix[joint_pix]
+            sizes = np.add.reduceat(joint_pix, np.cumsum(sizes) - sizes, dtype=np.intp)
+        keep = sizes >= 2
+        if not keep.all():
+            pix, sizes = pix[np.repeat(keep, sizes)], sizes[keep]
+        g = gf[pix]
+        ends = np.cumsum(sizes)
+        spans = list(zip((ends - sizes).tolist(), ends.tolist()))
+        med, mad = np.empty(sizes.size), np.empty(sizes.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (a, b) in enumerate(spans):
+                # one kth selects several times faster than two
+                h = (b - a) // 2
+                part_g = np.partition(g[a:b], h)
+                med[k] = part_g[h] if (b - a) % 2 else (part_g[:h].max() + part_g[h]) / 2
+            dev = g
+            dev -= np.repeat(med, sizes)
+            absdev = np.abs(dev)
+            for k, (a, b) in enumerate(spans):
+                mad[k] = absdev[a:b].sum() / (b - a)
+        if not np.isfinite(mad).all():
+            raise InvalidMapError("gt values too large to normalize: the MAD "
+                                  f"of a {part.level_tag} context overflows")
+        keep = mad > EPS
+        if not keep.all():
+            sel = np.repeat(keep, sizes)
+            pix, dev, sizes, mad = pix[sel], dev[sel], sizes[keep], mad[keep]
+        k = sizes.size
         label = np.full(npix, k, dtype=np.int16 if k < 2**15 else np.int32)
-        label[pix] = np.repeat(np.arange(k), sizes)
+        label[pix] = np.repeat(np.arange(k, dtype=label.dtype), sizes)
         counts += label < k
-        levels.append((part.level_tag, label, pix, sizes,
-                       np.concatenate(ngs) if ngs else np.empty(0)))
+        dev /= np.repeat(mad, sizes)
+        levels.append((part.level_tag, label, pix, sizes, dev))
     used = np.flatnonzero(counts)
     if used.size == 0:
         raise DegenerateInputError("all contexts filtered out")
@@ -191,16 +209,9 @@ def _pred_order(plan: _Plan, pf: np.ndarray, stable: bool) -> np.ndarray:
     """The used pixels in ascending pred order, shared by every level.
     Tied values share one median value, which is all the forward pass
     reads. The gradient also needs which pixel holds the median rank, so
-    with stable set, tied values keep ascending linear index order.
-    Without ties the default sort, 4-5x faster than the stable one on
-    float64, already gives that order."""
+    with stable set, tied values keep ascending linear index order."""
     vals = pf[plan.used]
-    order = np.argsort(vals)
-    if stable:
-        ranked = vals[order]
-        if np.any(ranked[1:] == ranked[:-1]):
-            order = np.argsort(vals, kind="stable")
-    return plan.used[order]
+    return plan.used[stable_argsort(vals) if stable else np.argsort(vals)]
 
 
 def _middle_ranks(lv: _Level, order: np.ndarray):
@@ -289,8 +300,8 @@ def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, used) -> None:
 def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
                 lam: float, with_gradient: bool = False) -> LossReport:
     """L1 regression loss plus lam times the hierarchical loss."""
-    if lam < 0:
-        raise ParameterError(f"lambda must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
     joint = joint_valid(pred, gt)
     idx = joint.ravel()
     diff = pred.values.ravel()[idx] - gt.values.ravel()[idx]

@@ -38,7 +38,11 @@ def _joint_values(pred: DepthMap, gt: DepthMap):
 def align_scale_shift(pred: DepthMap, gt: DepthMap) -> tuple[float, float]:
     """(s, t) minimizing sum (s*d + t - d*)^2 over joint-valid pixels;
     the 2x2 normal-equations solution."""
-    d, dstar = _joint_values(pred, gt)
+    return _align(*_joint_values(pred, gt))
+
+
+def _align(d: np.ndarray, dstar: np.ndarray) -> tuple[float, float]:
+    """align_scale_shift on the joint-valid values d (pred), dstar (gt)."""
     if d.size < 2:
         raise DegenerateAlignmentError("need at least 2 jointly valid pixels")
     # A scale-invariant loss can grow a fitted pred toward the float
@@ -65,8 +69,8 @@ def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
     max(d/d*, d*/d) < 1.25) over the joint-valid pixels with d* > 0,
     where d = s*pred + t with (s, t) from align_scale_shift, or
     d = pred without align."""
-    s, t = align_scale_shift(pred, gt) if align else (1.0, 0.0)
     d, dstar = _joint_values(pred, gt)
+    s, t = _align(d, dstar) if align else (1.0, 0.0)
     keep = dstar > 0
     if not keep.any():
         raise EmptyInputError("no pixels with positive ground truth")

@@ -360,6 +360,14 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         # gt MAD overflow: the gt is at fault, not the optimizer
         ["fit", "--steps", "2", "--background-depth", "1e308", "--base-depth", "1e307"],
         ["compare", "--steps", "2", "--loss", "nope"],
+        # non-finite float options
+        ["loss", pp, gp, "--lambda", "nan"],
+        ["loss", pp, gp, "--lambda", "inf"],
+        ["synth", "--out", out, "--noise-sigma", "nan"],
+        ["fit", "--steps", "2", "--step-size", "nan"],
+        # sizes past int64: every context is a single pixel, so none is left
+        *(["loss", pp, gp, "--kind", kind, "--levels", str(S)]
+          for kind in ("hdn_s", "hdn_dp", "hdn_dr") for S in (2**33, 2**70)),
     ]
     for argv in cases:
         with warnings.catch_warnings():
@@ -368,3 +376,18 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         assert (rc, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert not (tmp / "out.pfm").exists()
+
+
+@pytest.mark.parametrize("kind,tag", [
+    ("hdn_s", "spatial"), ("hdn_dp", "depth_percentile"), ("hdn_dr", "depth_range")])
+def test_huge_level_sizes(capsys, fixture_files, kind, tag):
+    # a level of 2**33 or 2**70 holds single pixels, which the filter drops:
+    # alone it leaves no context, beside level 1 it adds a level of value 0
+    pp, gp, _ = fixture_files
+    rc, base, _ = run(capsys, "loss", pp, gp, "--kind", kind, "--levels", "1")
+    assert rc == 0
+    for S in (2**33, 2**70):
+        rc, _, err = run(capsys, "loss", pp, gp, "--kind", kind, "--levels", str(S))
+        assert rc == 2 and err == "error: all contexts filtered out\n"
+        rc, out, _ = run(capsys, "loss", pp, gp, "--kind", kind, "--levels", f"1,{S}")
+        assert rc == 0 and out == base + f"level {tag}-{S}: 0\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,61 @@ def test_dr_interval_membership(h, w, s, seed):
         right = hi if b == s - 1 else left + width
         assert (flat[ctx] >= left - 1e-12).all()
         assert (flat[ctx] <= right + 1e-12).all()
+
+
+
+def test_dp_heavy_ties_match_brute_force_ranking(rng):
+    # three distinct values over ~1,500 valid pixels: the default sort
+    # scrambles tied values, so the stable sort must take over
+    vals = rng.integers(0, 3, (40, 50)).astype(float)
+    valid = rng.random((40, 50)) > 0.25
+    gt = DepthMap(vals, valid)
+    flat = vals[valid]
+    assert not np.array_equal(np.argsort(flat), np.argsort(flat, kind="stable"))
+    ranked = sorted(np.flatnonzero(valid).tolist(), key=lambda i: (vals.flat[i], i))
+    M = len(ranked)
+    for S in (1, 2, 3, 7, 64, M - 1, M, 2**40):
+        q, rem = divmod(M, S)
+        want, pos = [], 0
+        for run in range(min(S, M)):
+            n = q + (run < rem)
+            want.append(sorted(ranked[pos:pos + n]))
+            pos += n
+        assert [c.tolist() for c in level(gt, "depth_percentile", S).contexts] == want
+
+
+@pytest.mark.parametrize("S", [2**31, 3 * 2**32, 2**33, 2**70])
+def test_huge_sizes_match_reference(S):
+    # no S wraps a key or allocates memory in proportion to S
+    rng = np.random.default_rng(S % 997)
+    vals = np.round(rng.uniform(0, 4, (5, 6)))
+    valid = rng.random((5, 6)) > 0.2
+    gt = DepthMap(vals, valid)
+    for kind in ("spatial", "depth_range"):
+        got = [c.tolist() for c in level(gt, kind, S).contexts]
+        assert got == ref_partition(vals.tolist(), valid.tolist(), 5, 6, kind, S)
+    ranked = sorted(np.flatnonzero(valid).tolist(), key=lambda i: (vals.flat[i], i))
+    assert [c.tolist() for c in level(gt, "depth_percentile", S).contexts] == [
+        [i] for i in ranked]
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e-30, 2.0**-1070])
+def test_dr_size_beyond_float_range(unit):
+    # bins narrower than any gap between these values: one per distinct
+    # value. At the smaller units (max - min) / S underflows to 0, and no
+    # division may warn.
+    vals = np.array([[3.0, 1.0, 2.0], [1.0, 3.0, 1.5]]) * unit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = level(DepthMap(vals), "depth_range", 2**2000)
+    assert [c.tolist() for c in p.contexts] == [[1, 3], [5], [2], [0, 4]]
+
+
+@pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+def test_dr_signed_zeros_share_a_bin(zeros):
+    vals = np.array([[2.0, 1.0, 1.0], [*zeros, 2.0]])
+    p = level(DepthMap(vals), "depth_range", 2)
+    assert [c.tolist() for c in p.contexts] == [[3, 4], [0, 1, 2, 5]]
 
 
 def test_determinism(rng):

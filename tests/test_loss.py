@@ -403,3 +403,81 @@ def test_blocked_pass_matches_level_by_level(rng, monkeypatch, kind, sizes):
             scale = np.abs(want.gradient).max()
             assert np.abs(got.gradient - want.gradient).max() <= 1e-15 * scale
             assert np.array_equal(got_tied, want_tied)
+
+
+def _plan_levels(plan):
+    """(tag, label, pix, sizes, ng) of each level of a plan, in order."""
+    for block in plan.blocks:
+        first = 0
+        for lv in block.levels:
+            k = lv.lo.size
+            yield (lv.tag, lv.label, block.pix[lv.start:lv.stop],
+                   block.sizes[first:first + k], block.ng[lv.start:lv.stop])
+            first += k
+
+
+def _reference_levels(gt, joint, hier):
+    """The same, built context by context with np.median and np.mean."""
+    jf, gf = joint.ravel(), gt.values.ravel()
+    for part in hier.levels:
+        kept, ngs = [], []
+        for ctx in part.contexts:
+            idx = ctx[jf[ctx]]
+            if idx.size < 2:
+                continue
+            g = gf[idx]
+            m = np.median(g)
+            mad = np.mean(np.abs(g - m))
+            if mad > loss.EPS:
+                kept.append(idx)
+                ngs.append((g - m) / mad)
+        label = np.full(gf.size, len(kept))
+        for k, idx in enumerate(kept):
+            label[idx] = k
+        yield (part.level_tag, label, np.concatenate(kept or [np.empty(0, int)]),
+               np.array([idx.size for idx in kept], dtype=int),
+               np.concatenate(ngs or [np.empty(0)]))
+
+
+def test_plan_matches_per_context_reference(rng):
+    # rounded gt makes ties and constant contexts (dropped for MAD <= EPS);
+    # masks make contexts of fewer than 2 joint-valid pixels (dropped for
+    # size), and the last level of single pixels loses every context.
+    # Every fifth map is larger and continuous, where a MAD summed in
+    # another order than np.mean's rounds differently.
+    seen = set()
+    for trial in range(60):
+        h, w = (40, 50) if trial % 5 == 4 else rng.integers(3, 13, 2)
+        values = rng.uniform(0, 3, (h, w))
+        gt = DepthMap(values if trial % 5 == 4 else np.round(values),
+                      rng.random((h, w)) > 0.2)
+        pred_valid = rng.random((h, w)) > 0.3 if trial % 2 else np.ones((h, w), bool)
+        pred = DepthMap(rng.normal(size=(h, w)), pred_valid)
+        kind = ("spatial", "depth_percentile", "depth_range")[trial % 3]
+        hier = build_hierarchy(gt, LevelSpec(kind, (1, 2, 3, 2 * h * w)))
+        joint = pred.valid & gt.valid
+        want = list(_reference_levels(gt, joint, hier))
+        if not any(lv[2].size for lv in want):
+            with pytest.raises(DegenerateInputError):
+                loss._build_plan(gt, joint, LossConfig(hier))
+            continue
+        plan = loss._build_plan(gt, joint, LossConfig(hier))
+        got = list(_plan_levels(plan))
+        assert [lv[0] for lv in got] == [lv[0] for lv in want]
+        for (_, label, pix, sizes, ng), (_, rlabel, rpix, rsizes, rng_) in zip(got, want):
+            assert np.array_equal(label, rlabel)
+            assert np.array_equal(pix, rpix) and np.array_equal(sizes, rsizes)
+            assert ng.tobytes() == rng_.tobytes()  # bit for bit
+        assert np.array_equal(plan.used, np.unique(np.concatenate([lv[2] for lv in want])))
+        if not np.array_equal(joint, gt.valid):
+            seen.add("joint mask smaller than gt mask")
+        for part, (_, _, pix, sizes, _) in zip(hier.levels, want):
+            jsizes = [int(joint.ravel()[ctx].sum()) for ctx in part.contexts]
+            if any(n < 2 for n in jsizes):
+                seen.add("size < 2")
+            if sum(n >= 2 for n in jsizes) > sizes.size:
+                seen.add("MAD <= EPS")
+            if pix.size == 0:
+                seen.add("level with every context dropped")
+    assert seen == {"joint mask smaller than gt mask", "size < 2", "MAD <= EPS",
+                    "level with every context dropped"}
