@@ -8,6 +8,7 @@ identical index sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,13 +77,26 @@ def global_context(map_: DepthMap) -> Partition:
 
 def stable_argsort(vals: np.ndarray) -> np.ndarray:
     """np.argsort(vals, kind="stable"): tied values keep ascending
-    position. Without ties the default sort, 4-5x faster on float64,
-    already gives that order, so the stable one runs only on ties."""
+    position. The default sort, 4-5x faster on float64, gives that order
+    up to the order within runs of tied values. When there are ties, the
+    keys (dense rank of the value) * n + position are sorted already but
+    within those runs; a stable sort of them, fast on nearly sorted
+    input, gives the order as the key modulo n."""
     order = np.argsort(vals)
     ranked = vals[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(vals, kind="stable")
-    return order
+    new = ranked[1:] != ranked[:-1]
+    n = vals.size
+    if new.all():
+        return order
+    if n > 2**31:  # the largest key, n * n - 1, must fit in int64
+        return np.argsort(vals, kind="stable")
+    key = np.zeros(n, dtype=np.int64)
+    np.cumsum(new, out=key[1:])
+    key *= n
+    key += order
+    key.sort(kind="stable")
+    key %= n
+    return key
 
 
 def _dense(cells: list) -> np.ndarray:
@@ -128,6 +142,10 @@ def _key_function(gt: DepthMap, idx: np.ndarray, kind: str):
     lo, hi = vals.min(), vals.max()
     if hi == lo:
         return lambda S: np.zeros(idx.shape, dtype=np.int64)
+    if math.isinf(float(hi) - float(lo)):
+        # halving is exact (but in the last bit of subnormals, far below
+        # any bin) and brings the span into range
+        vals, lo, hi = vals / 2, lo / 2, hi / 2
 
     def bins(S):
         # a bin (hi - lo) / 2**1000 wide is finer than the float spacing of

@@ -23,7 +23,8 @@ each), computed exactly as np.median and np.mean would. It groups
 consecutive levels into *blocks* of at most BLOCK_MEMBERS members (a
 larger level is a block of its own). A block lists the members of its
 levels' surviving contexts as one flat array grouped by context, with
-their normalized gt values and their weights. A LossConfig remembers
+their normalized gt values and their weights (one float when every used
+pixel survives in the same number of contexts). A LossConfig remembers
 the plan of the last (gt, joint mask) it evaluated, so calls that reuse
 one gt build it once. The *pass* does
 the per-prediction work with no loop over contexts. One argsort of pred
@@ -37,6 +38,11 @@ per-call cost dominates, so stacking its levels pays; a large map runs
 its levels one at a time, because stacked temporaries fall out of
 cache. The median's derivative is nonzero only at a context's one or
 two middle ranks, so its terms are a sparse update at those pixels.
+Each block runs in a call of its own, so its member-sized arrays are
+freed before the next block starts; within it the residuals are divided
+into the repeated-MAD buffer, and the gradient overwrites the residuals
+and deviations with its weights and signs. At 480x640 a pass then holds
+about three member-sized arrays at a time beyond its inputs.
 
 Gradients treat the median's sort selection and every sign() as
 locally constant; the loss is piecewise smooth and tests skip tie
@@ -104,7 +110,9 @@ class _Block:
     sizes: np.ndarray    # members per context
     offsets: np.ndarray  # start of each context in pix
     ng: np.ndarray       # normalized gt per member
-    share: np.ndarray    # per member: 1 / surviving contexts of its pixel
+    # per member: 1 / surviving contexts of its pixel; one float when every
+    # member's pixel survives in the same number of contexts
+    share: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -172,12 +180,16 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
         groups[-1].append(lv)
         members += lv[2].size
     # a pixel's context count is known once every level is filtered
+    top = int(counts.max())
+    if np.count_nonzero(counts == top) == used.size:
+        counts = 1.0 / top  # every used pixel has top contexts
     return _Plan(tuple(_block(g, counts, used.size) for g in groups), used)
 
 
 def _block(group, counts, used: int) -> _Block:
     """One block of the (tag, label, pix, sizes, ng) levels in group. A
-    block of one level holds that level's own arrays."""
+    block of one level holds that level's own arrays. counts is the
+    per-pixel context count, or the one share of every pixel."""
     def cat(arrays):
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
     levels, start = [], 0
@@ -189,8 +201,9 @@ def _block(group, counts, used: int) -> _Block:
         start += pix.size
     pix = cat([g[2] for g in group])
     sizes = cat([g[3] for g in group])
+    share = counts if isinstance(counts, float) else 1.0 / counts[pix]
     return _Block(tuple(levels), pix, sizes, np.cumsum(sizes) - sizes,
-                  cat([g[4] for g in group]), 1.0 / counts[pix])
+                  cat([g[4] for g in group]), share)
 
 
 def _plan_for(cfg: LossConfig, gt: DepthMap, joint: np.ndarray) -> _Plan:
@@ -237,7 +250,8 @@ def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
     dev = pf[block.pix]
     dev -= np.repeat(med, block.sizes)
     mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
-    res = dev / np.repeat(np.maximum(mad, EPS), block.sizes)
+    res = np.repeat(np.maximum(mad, EPS), block.sizes)
+    np.divide(dev, res, out=res)
     res -= block.ng
     return lo, hi, dev, mad, res
 
@@ -255,38 +269,51 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     gradient = np.zeros(pred.values.shape) if with_gradient else None
     per_level = []
     for block in plan.blocks:
-        lo, hi, dev, mad, res = _block_pass(block, pf, order)
-        if with_gradient:
-            _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev, mad,
-                                res, used)
-        res = np.abs(res)
-        for lv in block.levels:
-            n = lv.stop - lv.start
-            per_level.append((lv.tag, float(res[lv.start:lv.stop].sum()) / n
-                              if n else 0.0))
-        res *= block.share
-        for lv in block.levels:
-            value += float(res[lv.start:lv.stop].sum())
+        # a call per block, so no block's arrays outlive it
+        for tag, mean, total in _run_block(block, pf, order, gradient, used):
+            per_level.append((tag, mean))
+            value += total
     value /= used
     return LossReport(value=value, gradient=gradient, per_level=per_level,
                       used_pixels=int(used))
 
 
-def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, used) -> None:
+def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
+               gradient: Optional[np.ndarray], used: int) -> list:
+    """(tag, mean |residual|, sum of share * |residual|) of each level
+    of one block; adds the block's gradient terms when gradient is set."""
+    lo, hi, dev, mad, res = _block_pass(block, pf, order)
+    absres = np.abs(res)
+    means = [float(absres[lv.start:lv.stop].sum()) / (lv.stop - lv.start)
+             if lv.stop > lv.start else 0.0 for lv in block.levels]
+    # deadband so numerically-affine predictions (residuals at
+    # rounding noise) get an exactly zero gradient
+    dead = absres <= 1e-12 if gradient is not None else None
+    absres *= block.share
+    totals = [float(absres[lv.start:lv.stop].sum()) for lv in block.levels]
+    del absres  # before the gradient's temporaries
+    if gradient is not None:
+        _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev, mad,
+                            res, dead, used)
+    return [(lv.tag, m, t) for lv, m, t in zip(block.levels, means, totals)]
+
+
+def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, dead,
+                        used) -> None:
     """Add one block's d(loss)/d(pred) to gradient: ws/s - sign(dev)*v
     at every member, and each context's median term z at its lower and
     upper middle-rank pixel (one pixel, twice, for odd sizes). A pixel
     is a member, and may be a middle rank, once per level, so the adds
-    accumulate repeated indices."""
-    # deadband so numerically-affine predictions (residuals at
-    # rounding noise) get an exactly zero gradient
-    ws = np.where(np.abs(res) > 1e-12, np.copysign(block.share, res), 0.0)
-    sgn = np.sign(dev)
+    accumulate repeated indices. ws = share * sign(res), +0.0 where dead
+    is set, overwrites res, and sign(dev) overwrites dev."""
+    ws = np.copysign(block.share, res, out=res)
+    ws[dead] = 0.0
     s = np.maximum(mad, EPS)
     c = 1.0 / (s * used)  # ws holds share, so 1/used folds in here
     # -d(loss)/d(MAD) / n; zero where the clamp holds s at EPS
     v = np.add.reduceat(ws * dev, block.offsets) / s * c / block.sizes
     v[mad <= EPS] = 0.0
+    sgn = np.sign(dev, out=dev)
     z = 0.5 * (np.add.reduceat(sgn, block.offsets) * v
                - np.add.reduceat(ws, block.offsets) * c)
     ws *= np.repeat(c, block.sizes)

@@ -122,6 +122,17 @@ def test_partition_golden_dump(capsys, fixture_files):
     assert out == "ctx0: 0\nctx1: 1\nctx2: 2\nctx3: 3\n"
 
 
+def test_partition_dr_overflowing_span(capsys, tmp_path):
+    # max - min of these gt values overflows float64; CSV keeps them exact
+    gp = tmp_path / "gt.csv"
+    gp.write_text("-1e308,0,5e307,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, _ = run(capsys, "partition", str(gp), "--kind", "depth_range", "--s", "2")
+    assert rc == 0
+    assert out == "ctx0: 0\nctx1: 1 2 3\n"
+
+
 def test_partition_stable_across_runs(capsys, fixture_files):
     _, gp, _ = fixture_files
     outs = set()

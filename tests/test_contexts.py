@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdnorm import DepthMap, LevelSpec, build_hierarchy, global_context, partition_dump
+from hdnorm.contexts import stable_argsort
 from hdnorm.errors import EmptyInputError, ParameterError
 
 from conftest import row
@@ -279,6 +280,37 @@ def test_dr_signed_zeros_share_a_bin(zeros):
     vals = np.array([[2.0, 1.0, 1.0], [*zeros, 2.0]])
     p = level(DepthMap(vals), "depth_range", 2)
     assert [c.tolist() for c in p.contexts] == [[3, 4], [0, 1, 2, 5]]
+
+
+def test_dr_overflowing_span():
+    # max - min overflows to inf; the values are halved (exactly) before
+    # binning, so no bin arithmetic warns and the maximum lands in bin 1
+    gt = DepthMap(np.array([[-1e308, 0.0, 5e307, 1e308]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = level(gt, "depth_range", 2)
+        huge = level(gt, "depth_range", 2**2000)
+    assert [c.tolist() for c in p.contexts] == [[0], [1, 2, 3]]
+    assert [c.tolist() for c in huge.contexts] == [[0], [1], [2], [3]]
+
+
+def _stable_argsort_inputs():
+    rng = np.random.default_rng(5)
+    yield "tie-heavy", np.round(rng.normal(size=5000), 1)
+    yield "few ties", np.round(rng.normal(size=5000), 4)
+    yield "tie-free", rng.normal(size=5000)
+    yield "constant", np.full(300, 2.5)
+    yield "signed zeros", rng.permutation(np.repeat([-0.0, 0.0, 1.0, -1.0], 50))
+    yield "float32 rounding", rng.normal(size=5000).astype(np.float32).astype(float)
+    yield "empty", np.empty(0)
+    yield "one", np.array([4.0])
+
+
+@pytest.mark.parametrize("name,vals", list(_stable_argsort_inputs()))
+def test_stable_argsort_matches_numpy(name, vals):
+    got = stable_argsort(vals)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(vals, kind="stable"))
 
 
 def test_determinism(rng):

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -481,3 +484,86 @@ def test_plan_matches_per_context_reference(rng):
                 seen.add("level with every context dropped")
     assert seen == {"joint mask smaller than gt mask", "size < 2", "MAD <= EPS",
                     "level with every context dropped"}
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("spatial", (1,)),
+    ("spatial", (1, 2, 4)),
+    ("depth_percentile", (1, 2)),
+    ("depth_range", (1, 2, 4)),
+])
+def test_affine_prediction_gradient_has_no_negative_zero(rng, kind, sizes):
+    # every residual of an exactly affine pred sits in the deadband,
+    # whose gradient terms are +0.0 (a 0/1 mask times sign(res) would
+    # give -0.0 at negative residuals)
+    _, gt = random_pair(rng, 12, 14, mask_prob=0.2)
+    pred = DepthMap(2.5 * gt.values + 1.25, gt.valid)
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+    report = hdn_loss(pred, gt, cfg, with_gradient=True)
+    assert report.value == pytest.approx(0, abs=1e-12)
+    assert not report.gradient.any() and not np.signbit(report.gradient).any()
+    # the gradient starts at +0.0, which absorbs -0.0 terms; a buffer of
+    # -0.0 shows them: a pixel stays -0.0 only if every term it got was
+    plan = cfg._memo[2]
+    pf = pred.values.ravel()
+    order = loss._pred_order(plan, pf, stable=True)
+    buf = np.full(pf.size, -0.0)
+    for block in plan.blocks:
+        loss._run_block(block, pf, order, buf, plan.used.size)
+    assert not np.signbit(buf[plan.used]).any()
+
+
+def _per_member_share(real_block):
+    """_block with its share always one array entry per member."""
+    def block(group, counts, used):
+        b = real_block(group, counts, used)
+        return dataclasses.replace(b, share=np.broadcast_to(b.share, b.pix.shape).copy())
+    return block
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_uniform_share_is_one_float(rng, monkeypatch, masked):
+    # unmasked, every used pixel survives in all three levels; masked,
+    # level 8's cells lose members and some drop out, so counts differ
+    pred, gt = random_pair(rng, 12, 16, mask_prob=0.3 if masked else 0.0)
+    hier = build_hierarchy(gt, LevelSpec("spatial", (1, 2, 4) if not masked else (1, 2, 8)))
+    for cap in (loss.BLOCK_MEMBERS, 1):
+        monkeypatch.setattr(loss, "BLOCK_MEMBERS", cap)
+        want, want_fwd, want_tied, blocks = _blocked_results(pred, gt, hier)
+        if masked:
+            assert all(isinstance(b.share, np.ndarray) for b in blocks)
+        else:
+            assert all(type(b.share) is float for b in blocks)
+            assert [b.share for b in blocks] == [1 / 3] * len(blocks)
+        with monkeypatch.context() as m:
+            m.setattr(loss, "_block", _per_member_share(loss._block))
+            got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
+        assert all(b.share.shape == b.pix.shape for b in blocks)
+        assert got.value == want.value and got_fwd.value == want_fwd.value
+        assert got.per_level == want.per_level == got_fwd.per_level
+        assert got.gradient.tobytes() == want.gradient.tobytes()
+        assert np.array_equal(got_tied, want_tied)
+
+
+def test_gradient_pass_holds_one_block_at_a_time():
+    # At 240x320 every spatial level is a block of its own. Beyond the
+    # gradient and the pred order, a block needs dev, res and one
+    # temporary (plus a bool mask) at a time; keeping the previous
+    # block's dev and res alive, or fresh arrays for |res| and the
+    # gradient weights, goes past the bound of six member-sized arrays.
+    rng = np.random.default_rng(7)
+    y, x = np.mgrid[0:240, 0:320] / 240.0
+    gt = DepthMap(3 + 4 * y + x + 0.05 * rng.standard_normal(y.shape),
+                  rng.random(y.shape) > 0.05)
+    pred = DepthMap(0.5 * gt.values + 1 + 0.05 * rng.standard_normal(y.shape))
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1, 2, 4, 8))))
+    hdn_loss(pred, gt, cfg, with_gradient=True)  # builds the plan
+    assert len(cfg._memo[2].blocks) == 4
+    tracemalloc.start()
+    try:
+        report = hdn_loss(pred, gt, cfg, with_gradient=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    member = 8 * report.used_pixels
+    assert peak < 6 * member, peak / member
