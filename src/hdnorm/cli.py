@@ -21,7 +21,7 @@ import numpy as np
 from . import depth_core, harness, loss as loss_mod, metrics
 from .contexts import KINDS, LevelSpec, build_hierarchy, partition_dump
 from .depth_core import DepthMap
-from .errors import HdnormError
+from .errors import FormatError, HdnormError, ParameterError, ShapeMismatchError
 from .harness import FitConfig, SceneSpec
 
 
@@ -33,7 +33,7 @@ def _load_map(path: str, mask_path=None) -> DepthMap:
     if mask_path:
         mask = depth_core.read_mask(mask_path)
         if mask.shape != m.values.shape:
-            raise HdnormError(
+            raise ShapeMismatchError(
                 f"mask {mask.shape} does not match map {m.values.shape}")
         m = DepthMap(m.values, m.valid & mask)
     return m
@@ -56,7 +56,7 @@ def _parse_levels(text: str) -> tuple:
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise HdnormError(f"bad levels list {text!r}; expected e.g. 1,2,4")
+        raise ParameterError(f"bad levels list {text!r}; expected e.g. 1,2,4")
 
 
 def cmd_loss(args) -> int:
@@ -150,16 +150,16 @@ def _read_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise HdnormError(f"{path}:{lineno}: expected key = value")
+                raise FormatError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _SCENE_DEFAULTS:
-                raise HdnormError(f"{path}:{lineno}: unknown option {key!r}")
+                raise ParameterError(f"{path}:{lineno}: unknown option {key!r}")
             kind = type(_SCENE_DEFAULTS[key])
             try:
                 out[key] = kind(value)
             except ValueError:
-                raise HdnormError(f"{path}:{lineno}: bad value {value!r} for "
-                                  f"{key}; expected {kind.__name__}") from None
+                raise ParameterError(f"{path}:{lineno}: bad value {value!r} "
+                                     f"for {key}; expected {kind.__name__}") from None
     return out
 
 

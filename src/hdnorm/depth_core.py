@@ -23,7 +23,8 @@ from .errors import EmptyInputError, FormatError, InvalidMapError, ShapeMismatch
 class DepthMap:
     """An H x W grid of real values plus a per-pixel validity mask.
 
-    Immutable after construction; safe for concurrent read-only access.
+    Immutable after construction, also when pickled or copied (both go
+    through the constructor); safe for concurrent read-only access.
     """
 
     values: np.ndarray
@@ -31,7 +32,9 @@ class DepthMap:
 
     def __post_init__(self):
         try:
-            values = np.array(self.values, dtype=np.float64)
+            # astype swaps an unpickled array's dtype object for numpy's
+            # own, which np.add.at's fast path needs; np.array keeps it
+            values = np.asarray(self.values, dtype=np.float64).astype(np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidMapError(f"values must be numeric: {exc}") from None
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
@@ -40,7 +43,7 @@ class DepthMap:
         if valid is None:
             valid = np.ones(values.shape, dtype=bool)
         else:
-            valid = np.array(valid, dtype=bool)
+            valid = np.asarray(valid, dtype=bool).astype(bool)
             if valid.shape != values.shape:
                 raise InvalidMapError(f"mask shape {valid.shape} != values shape {values.shape}")
         if not np.all(np.isfinite(values[valid])):
@@ -49,6 +52,9 @@ class DepthMap:
         valid.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "valid", valid)
+
+    def __reduce__(self):
+        return (DepthMap, (self.values, self.valid))
 
     @property
     def height(self) -> int:

@@ -209,12 +209,7 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
     )
 
 
-_scene = None  # in a fit worker: the (gt, foreground) of its compare
-
-
-def _init_worker(gt, foreground, parent: int) -> None:
-    global _scene
-    _scene = (gt, foreground)
+def _init_worker(parent: int) -> None:
     # a worker whose parent is gone has no one to report to: have Linux
     # kill it when the parent exits (prctl PR_SET_PDEATHSIG = 1), and
     # exit now if the parent exited before the call
@@ -227,9 +222,9 @@ def _init_worker(gt, foreground, parent: int) -> None:
         os._exit(1)
 
 
-def _fit_report(cfg) -> FitReport:
-    gt, foreground = _scene
-    return fit_depth(gt, cfg, foreground=foreground)[1]
+def _fit_report(spec: SceneSpec, cfg: FitConfig) -> FitReport:
+    """One compare job; the scene is made where the job runs."""
+    return fit_depth(generate_scene(spec), cfg, foreground=spec.foreground)[1]
 
 
 def compare_losses(spec: SceneSpec, configs) -> list:
@@ -244,7 +239,6 @@ def compare_losses(spec: SceneSpec, configs) -> list:
     when this process exits, even when it is killed."""
     if not configs:
         raise ParameterError("compare_losses needs at least one config")
-    gt = generate_scene(spec)
     # every platform with os.sched_getaffinity can fork; the others fit
     # serially
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -252,13 +246,14 @@ def compare_losses(spec: SceneSpec, configs) -> list:
     if workers > 1:  # imported here, so `import hdnorm.cli` skips them
         from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
         from multiprocessing import get_context
-        # the workers inherit gt through the fork, so a job is only its
-        # config and the jobs queued for them never fill the pipe: a
-        # pipe left full when the workers are ended can stall shutdown
+        # a job is its spec and config, a few hundred bytes, and each
+        # worker makes the scene itself, so the jobs queued for them never
+        # fill the pipe: a pipe left full when the workers are ended can
+        # stall shutdown
         with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                  initializer=_init_worker,
-                                 initargs=(gt, spec.foreground, os.getpid())) as pool:
-            futures = [pool.submit(_fit_report, cfg) for cfg in configs]
+                                 initargs=(os.getpid(),)) as pool:
+            futures = [pool.submit(_fit_report, spec, cfg) for cfg in configs]
             done, _ = wait(futures, return_when=FIRST_EXCEPTION)
             errors = [f.exception() for f in futures if f in done and f.exception()]
             if errors:
@@ -268,8 +263,7 @@ def compare_losses(spec: SceneSpec, configs) -> list:
                 raise errors[0]
             reports = [f.result() for f in futures]
     else:
-        reports = [fit_depth(gt, cfg, foreground=spec.foreground)[1]
-                   for cfg in configs]
+        reports = [_fit_report(spec, cfg) for cfg in configs]
     rows = [{
         "label": cfg.label,
         "final_loss": report.final_loss,

@@ -13,7 +13,9 @@ Batch SSI is SSI on the maps concatenated into one.
 Context filtering is a fixed rule: a context needs at least two
 joint-valid pixels and a ground-truth MAD above EPS. A smaller or
 degenerate context carries no relative-depth signal (a singleton has
-gt MAD 0). Every MAD is clamped at EPS before it divides.
+gt MAD 0). A pred context divides by its MAD, or by 1 when it is 0
+(every deviation is 0 then, so the residuals are -ng). With no floor,
+pred -> a * pred + b leaves the loss unchanged at tiny scales a too.
 
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask. It is built level by level from each partition's
@@ -26,17 +28,17 @@ levels' surviving contexts as one flat array grouped by context, with
 their normalized gt values and their weights (one float when every used
 pixel survives in the same number of contexts). A LossConfig remembers
 the plan of the last (gt, joint mask) it evaluated, so calls that reuse
-one gt build it once. The *pass* does
-the per-prediction work with no loop over contexts. One argsort of pred
-serves every level, and a stable sort of each level's context labels
-regroups it (unless the level is one context over every used pixel) so
-that every context's median sits at a known offset. Each block then
-runs one forward and one backward pass: elementwise ops, and segment
-sums for the MAD and the gradient terms. The loss and the per-level
-values sum each level's slice of the block. On a small map numpy's
-per-call cost dominates, so stacking its levels pays; a large map runs
-its levels one at a time, because stacked temporaries fall out of
-cache. The median's derivative is nonzero only at a context's one or
+one gt build it once. The *pass* does the per-prediction work with no
+loop over contexts. One stable argsort of pred serves every level, with
+or without the gradient, and a stable sort of each level's context
+labels regroups it (unless the level is one context over every used
+pixel) so that every context's median sits at a known offset. Each
+block then runs one forward and one backward pass: elementwise ops, and
+segment sums for the MAD and the gradient terms. The loss and the
+per-level values sum each level's slice of the block. On a small map
+numpy's per-call cost dominates, so stacking its levels pays; a large
+map runs its levels one at a time, because stacked temporaries fall out
+of cache. The median's derivative is nonzero only at a context's one or
 two middle ranks, so its terms are a sparse update at those pixels.
 Each block runs in a call of its own, so its member-sized arrays are
 freed before the next block starts; within it the residuals are divided
@@ -62,7 +64,7 @@ from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
 EPS = 1e-6
-# how close to a median/sign/clamp tie tie_mask flags a context
+# how close to a median/sign tie tie_mask flags a context
 TIE_MARGIN = 1e-4
 # most members in one block: stacked 4k-member levels (64x64) ran 25% faster,
 # stacked 73k-member ones (240x320) 10% slower, out of cache
@@ -218,13 +220,11 @@ def _plan_for(cfg: LossConfig, gt: DepthMap, joint: np.ndarray) -> _Plan:
     return plan
 
 
-def _pred_order(plan: _Plan, pf: np.ndarray, stable: bool) -> np.ndarray:
-    """The used pixels in ascending pred order, shared by every level.
-    Tied values share one median value, which is all the forward pass
-    reads. The gradient also needs which pixel holds the median rank, so
-    with stable set, tied values keep ascending linear index order."""
-    vals = pf[plan.used]
-    return plan.used[stable_argsort(vals) if stable else np.argsort(vals)]
+def _pred_order(plan: _Plan, pf: np.ndarray) -> np.ndarray:
+    """The used pixels in ascending pred order, shared by every level and
+    by every caller; tied values keep ascending linear index order, so
+    the gradient knows which pixel holds a median rank."""
+    return plan.used[stable_argsort(pf[plan.used])]
 
 
 def _middle_ranks(lv: _Level, order: np.ndarray):
@@ -242,7 +242,7 @@ def _middle_ranks(lv: _Level, order: np.ndarray):
 def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
     """(lo, hi, dev, mad, res) of one block: the middle-rank pixels of
     each context, and per member the deviation from the context median
-    and the normalized residual; mad is the unclamped MAD per context."""
+    and the normalized residual; mad is the MAD per context."""
     lo, hi = map(np.concatenate,
                  zip(*(_middle_ranks(lv, order) for lv in block.levels)))
     # equals np.median's (a + b) / 2 and cannot overflow when a == b
@@ -250,7 +250,7 @@ def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
     dev = pf[block.pix]
     dev -= np.repeat(med, block.sizes)
     mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
-    res = np.repeat(np.maximum(mad, EPS), block.sizes)
+    res = np.repeat(np.where(mad > 0, mad, 1.0), block.sizes)
     np.divide(dev, res, out=res)
     res -= block.ng
     return lo, hi, dev, mad, res
@@ -264,7 +264,7 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     pixels with no surviving context."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
-    order = _pred_order(plan, pf, stable=with_gradient)
+    order = _pred_order(plan, pf)
     used, value = plan.used.size, 0.0
     gradient = np.zeros(pred.values.shape) if with_gradient else None
     per_level = []
@@ -308,11 +308,10 @@ def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, dead,
     is set, overwrites res, and sign(dev) overwrites dev."""
     ws = np.copysign(block.share, res, out=res)
     ws[dead] = 0.0
-    s = np.maximum(mad, EPS)
+    s = np.where(mad > 0, mad, 1.0)
     c = 1.0 / (s * used)  # ws holds share, so 1/used folds in here
-    # -d(loss)/d(MAD) / n; zero where the clamp holds s at EPS
+    # -d(loss)/d(MAD) / n; zero where the MAD is 0, as dev is
     v = np.add.reduceat(ws * dev, block.offsets) / s * c / block.sizes
-    v[mad <= EPS] = 0.0
     sgn = np.sign(dev, out=dev)
     z = 0.5 * (np.add.reduceat(sgn, block.offsets) * v
                - np.add.reduceat(ws, block.offsets) * c)
@@ -367,11 +366,12 @@ def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
 
 def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
     """Pixels near a median/sign tie, where finite differences straddle a
-    kink of the piecewise-smooth loss. Conservative: if any member of a
-    context is within TIE_MARGIN of a tie, the whole context is flagged."""
+    kink of the piecewise-smooth loss, or in a context of pred MAD 0.
+    Conservative: if any member of a context is within TIE_MARGIN of a
+    tie, the whole context is flagged. Reads the gradient's pred order."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
-    order = _pred_order(plan, pf, stable=False)
+    order = _pred_order(plan, pf)
     tied = np.zeros(pf.size, dtype=bool)
     for block in plan.blocks:
         lo, hi, dev, mad, res = _block_pass(block, pf, order)
@@ -384,11 +384,10 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
             dist = np.abs(d - np.repeat(pf[mid], block.sizes))
             near |= (dist > 0) & (dist < TIE_MARGIN)
         # residual sign flips, scaled by the normalization slope
-        s = np.maximum(mad, EPS)
+        s = np.where(mad > 0, mad, 1.0)
         near |= np.abs(res) < np.repeat(TIE_MARGIN * np.maximum(1.0, 1.0 / s),
                                         block.sizes)
         flag = np.logical_or.reduceat(near, block.offsets)
-        # clamp branch switch
-        flag |= np.abs(mad - EPS) < TIE_MARGIN
+        flag |= mad == 0  # divisor switch
         tied[block.pix[np.repeat(flag, block.sizes)]] = True
     return tied.reshape(pred.values.shape)

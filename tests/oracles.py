@@ -15,9 +15,10 @@ def ref_mad(vals, m):
     return sum(abs(v - m) for v in vals) / len(vals)
 
 
-def ref_normalize(vals, eps=1e-6):
+def ref_normalize(vals):
+    """(v - median) / MAD, dividing by 1 when the MAD is 0."""
     m = ref_median(vals)
-    s = max(ref_mad(vals, m), eps)
+    s = ref_mad(vals, m) or 1.0
     return [(v - m) / s for v in vals]
 
 
@@ -92,8 +93,8 @@ def ref_hdn_loss(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
             if gt_degenerate_skip and ref_mad(gvals, gm) <= eps:
                 continue
             pvals = [pred[i // W][i % W] for i in idx]
-            gn = ref_normalize(gvals, eps)
-            pn = ref_normalize(pvals, eps)
+            gn = ref_normalize(gvals)
+            pn = ref_normalize(pvals)
             for k, i in enumerate(idx):
                 per_pixel.setdefault(i, []).append(abs(pn[k] - gn[k]))
     if not per_pixel:
@@ -101,11 +102,11 @@ def ref_hdn_loss(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
     return sum(sum(terms) / len(terms) for terms in per_pixel.values()) / len(per_pixel)
 
 
-def ref_ssi_loss(pred, gt, pred_valid, gt_valid, H, W, eps=1e-6):
+def ref_ssi_loss(pred, gt, pred_valid, gt_valid, H, W):
     idx = [(r, c) for r in range(H) for c in range(W)
            if pred_valid[r][c] and gt_valid[r][c]]
-    pn = ref_normalize([pred[r][c] for r, c in idx], eps)
-    gn = ref_normalize([gt[r][c] for r, c in idx], eps)
+    pn = ref_normalize([pred[r][c] for r, c in idx])
+    gn = ref_normalize([gt[r][c] for r, c in idx])
     return sum(abs(a - b) for a, b in zip(pn, gn)) / len(idx)
 
 
@@ -126,7 +127,7 @@ def ref_hdn_gradient(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
             gvals = [gt[i // W][i % W] for i in idx]
             if gt_degenerate_skip and ref_mad(gvals, ref_median(gvals)) <= eps:
                 continue
-            kept.append((idx, ref_normalize(gvals, eps)))
+            kept.append((idx, ref_normalize(gvals)))
     count = {}
     for idx, _ in kept:
         for i in idx:
@@ -144,14 +145,14 @@ def ref_hdn_gradient(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
         n = len(d)
         m = ref_median(d)
         mad = ref_mad(d, m)
-        s = max(mad, eps)
+        s = mad or 1.0
         dev = [v - m for v in d]
         ranked = sorted(range(n), key=lambda k: (d[k], idx[k]))
         e = [0.0] * n  # d median / d pred
         for k in {ranked[(n - 1) // 2], ranked[n // 2]}:
             e[k] = 1.0 if n % 2 else 0.5
         total_sign = sum(sign(x) for x in dev)
-        ds = [(sign(dev[k]) - e[k] * total_sign) / n if mad > eps else 0.0
+        ds = [(sign(dev[k]) - e[k] * total_sign) / n if mad > 0 else 0.0
               for k in range(n)]  # d MAD / d pred
         ws = []
         for k, i in enumerate(idx):

@@ -24,7 +24,7 @@ def test_exported_names_are_pinned():
 
 def test_config_fields_are_pinned():
     # the settable values of a loss and of a fit; the context filter and
-    # the MAD clamp are fixed rules of the kernel, not options
+    # the pred-MAD rule are fixed rules of the kernel, not options
     def names(cls):
         return [f.name for f in dataclasses.fields(cls) if f.init]
 

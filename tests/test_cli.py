@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import hdnorm
-from hdnorm import DepthMap, read_pfm, write_mask, write_pfm
+from hdnorm import DepthMap, cli, read_pfm, write_mask, write_pfm
 from hdnorm.cli import main
+from hdnorm.errors import FormatError, ParameterError, ShapeMismatchError
 
 
 @pytest.fixture
@@ -387,6 +388,40 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         assert (rc, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert not (tmp / "out.pfm").exists()
+
+
+def test_cli_input_errors_are_typed(capsys, fixture_files):
+    pp, gp, tmp = fixture_files
+    mask = str(tmp / "mask.pgm")
+    write_mask(np.ones((3, 3), dtype=bool), mask)
+    configs = []
+    for k, text in enumerate(("height 3\n", "bogus = 1\n", "height = abc\n")):
+        configs.append(str(tmp / f"scene{k}.cfg"))
+        Path(configs[-1]).write_text(text)
+    out = str(tmp / "out.pfm")
+    cases = [
+        (lambda: cli._load_map(gp, mask), ShapeMismatchError,
+         ["loss", pp, gp, "--gt-mask", mask],
+         "mask (3, 3) does not match map (2, 2)"),
+        (lambda: cli._parse_levels("1,x"), ParameterError,
+         ["loss", pp, gp, "--kind", "hdn_s", "--levels", "1,x"],
+         "bad levels list '1,x'; expected e.g. 1,2,4"),
+        (lambda: cli._read_config(configs[0]), FormatError,
+         ["synth", "--out", out, "--config", configs[0]],
+         f"{configs[0]}:1: expected key = value"),
+        (lambda: cli._read_config(configs[1]), ParameterError,
+         ["synth", "--out", out, "--config", configs[1]],
+         f"{configs[1]}:1: unknown option 'bogus'"),
+        (lambda: cli._read_config(configs[2]), ParameterError,
+         ["synth", "--out", out, "--config", configs[2]],
+         f"{configs[2]}:1: bad value 'abc' for height; expected int"),
+    ]
+    for call, error, argv, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize("kind,tag", [

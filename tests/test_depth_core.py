@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import struct
 import time
 
@@ -47,6 +49,27 @@ def test_depthmap_is_immutable():
     m = DepthMap(np.array([[1.0]]))
     with pytest.raises(ValueError):
         m.values[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
+                                   copy.deepcopy])
+def test_depthmap_copies_go_through_the_constructor(clone):
+    m = DepthMap(np.array([[1.0, np.nan], [3.0, 4.0]]),
+                 np.array([[True, False], [True, True]]))
+    c = clone(m)
+    assert not c.values.flags.writeable and not c.valid.flags.writeable
+    assert c.values.dtype is np.dtype(np.float64) and c.valid.dtype is np.dtype(bool)
+    assert np.array_equal(c.values, m.values, equal_nan=True)
+    assert np.array_equal(c.valid, m.valid)
+
+
+def test_depthmap_from_unpickled_arrays_has_numpy_dtypes():
+    # an unpickled array's dtype equals numpy's float64 (or bool) but is
+    # another object, which np.add.at takes off its fast path
+    values = pickle.loads(pickle.dumps(np.arange(6.0).reshape(2, 3)))
+    valid = pickle.loads(pickle.dumps(np.ones((2, 3), dtype=bool)))
+    m = DepthMap(values, valid)
+    assert m.values.dtype is np.dtype(np.float64) and m.valid.dtype is np.dtype(bool)
 
 
 # --- PFM ---

@@ -193,11 +193,12 @@ def test_compare_deterministic():
     assert compare_losses(spec, cfgs) == compare_losses(spec, cfgs)
 
 
-def _fit_pids(monkeypatch, path):
-    """Make every fit append "start <pid>" to path when it begins and
-    "done <pid>" when it returns; forked workers inherit the patch. The
-    returned reader gives the set of pids logged with one event."""
-    fit = harness.fit_depth
+def _fit_pids(monkeypatch, path, name="fit_depth"):
+    """Make every fit (every call of harness.<name>) append "start <pid>"
+    to path when it begins and "done <pid>" when it returns; forked
+    workers inherit the patch. The returned reader gives the set of pids
+    logged with one event."""
+    fit = getattr(harness, name)
 
     def logged(*args, **kw):
         with open(path, "a") as f:
@@ -207,7 +208,7 @@ def _fit_pids(monkeypatch, path):
             f.write(f"done {os.getpid()}\n")
         return result
 
-    monkeypatch.setattr(harness, "fit_depth", logged)
+    monkeypatch.setattr(harness, name, logged)
     return lambda event="start": _logged_pids(path, event)
 
 
@@ -221,14 +222,19 @@ def test_compare_pool_rows_equal_serial_rows(monkeypatch, tmp_path):
     cfgs = [FitConfig("ssi", (1,), steps=8, step_size=50.0),
             FitConfig("hdn_s", (1, 2), steps=8, step_size=50.0),
             FitConfig("hdn_dr", (1, 2), steps=8, step_size=50.0)]
+    # a job carries its spec: the scene is made where the fit runs, in
+    # the workers on the pool path and in this process on the serial one
     pids = _fit_pids(monkeypatch, tmp_path / "pool")
+    scene_pids = _fit_pids(monkeypatch, tmp_path / "pool_scene", "generate_scene")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     pooled = compare_losses(spec, cfgs)
     assert pids() and os.getpid() not in pids()
+    assert scene_pids() == pids()
     pids = _fit_pids(monkeypatch, tmp_path / "serial")
+    scene_pids = _fit_pids(monkeypatch, tmp_path / "serial_scene", "generate_scene")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     serial = compare_losses(spec, cfgs)
-    assert pids() == {os.getpid()}
+    assert pids() == scene_pids() == {os.getpid()}
     assert pooled == serial
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,8 @@ from hdnorm import (
     generate_scene,
     hdn_loss,
     l1_plus_hdn,
+    loss_config,
+    standard_fixture,
 )
 from hdnorm import loss
 from hdnorm.errors import (
@@ -96,6 +99,59 @@ def test_hdn_affine_invariance(rng, kind, sizes):
             shifted = DepthMap(a * pred.values + b, pred.valid)
             assert hdn_loss(shifted, gt, cfg).value == pytest.approx(
                 base, abs=1e-9)
+
+
+def test_affine_invariance_at_every_scale():
+    # a pred MAD divides unclamped, so a power-of-two scale, exact in
+    # float, leaves the loss unchanged from 2^-900 to 2^500
+    gt = generate_scene(standard_fixture())
+    pred = gt.values + 0.1 * np.random.default_rng(0).standard_normal(gt.values.shape)
+    cfg = loss_config(gt, "hdn_s", (1, 2, 4, 8))
+    values = [hdn_loss(DepthMap(a * pred + 3 * a), gt, cfg).value
+              for a in (1.0, 2.0**-20, 2.0**-40, 2.0**-900, 2.0**500)]
+    assert values == [values[0]] * 5
+    assert values[0] == pytest.approx(hdn_loss(DepthMap(pred), gt, cfg).value,
+                                      rel=1e-12)
+
+
+def test_tie_mask_flags_a_context_of_pred_mad_zero():
+    # pred is constant over the first context: no member is near a sign,
+    # order or residual tie, but any bump switches its divisor from 1 to
+    # the MAD; the second context is far from every tie
+    gt = DepthMap(np.array([[1.0, 2.0, 4.0, 7.0, 5.0, 6.0, 9.0, 10.0]]))
+    pred = DepthMap(np.array([[3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 6.0, 20.0]]))
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (2,))))
+    assert loss.tie_mask(pred, gt, cfg).tolist() == [[True] * 4 + [False] * 4]
+
+
+def test_loss_on_unpickled_gt_matches_original(rng):
+    pred, gt = random_pair(rng, 12, 14, mask_prob=0.2)
+    reports = []
+    for g in (gt, pickle.loads(pickle.dumps(gt))):
+        cfg = LossConfig(build_hierarchy(g, LevelSpec("depth_range", (1, 2, 4))))
+        reports.append(hdn_loss(pred, g, cfg, with_gradient=True))
+    want, got = reports
+    assert (got.value, got.per_level) == (want.value, want.per_level)
+    assert got.gradient.tobytes() == want.gradient.tobytes()
+
+
+@pytest.mark.parametrize("kind,sizes", [
+    ("spatial", (1, 2, 4)),
+    ("depth_percentile", (1, 2)),
+    ("depth_range", (1, 2, 4)),
+])
+def test_forward_reads_the_gradient_pass_order(rng, kind, sizes):
+    # rounded preds tie heavily; with and without the gradient the pass
+    # reads one stable pred order, so the values agree bit for bit
+    _, gt = random_pair(rng, 16, 16, mask_prob=0.2)
+    pred = DepthMap(np.round(rng.uniform(0, 4, gt.values.shape)), gt.valid)
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+    fwd = hdn_loss(pred, gt, cfg)
+    grad = hdn_loss(pred, gt, cfg, with_gradient=True)
+    assert (fwd.value, fwd.per_level) == (grad.value, grad.per_level)
+    plan, pf = cfg._memo[2], pred.values.ravel()
+    assert np.array_equal(loss._pred_order(plan, pf),
+                          plan.used[np.argsort(pf[plan.used], kind="stable")])
 
 
 def test_hdn_zero_at_affine_prediction(rng):
@@ -506,7 +562,7 @@ def test_affine_prediction_gradient_has_no_negative_zero(rng, kind, sizes):
     # -0.0 shows them: a pixel stays -0.0 only if every term it got was
     plan = cfg._memo[2]
     pf = pred.values.ravel()
-    order = loss._pred_order(plan, pf, stable=True)
+    order = loss._pred_order(plan, pf)
     buf = np.full(pf.size, -0.0)
     for block in plan.blocks:
         loss._run_block(block, pf, order, buf, plan.used.size)
