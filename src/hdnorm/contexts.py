@@ -99,18 +99,14 @@ def stable_argsort(vals: np.ndarray) -> np.ndarray:
     return key
 
 
-def _dense(cells: list) -> np.ndarray:
-    """Dense ranks of a nondecreasing list of (Python) ints."""
-    return np.cumsum([0] + [a != b for a, b in zip(cells, cells[1:])])
-
-
 def _key_function(gt: DepthMap, idx: np.ndarray, kind: str):
     """S -> the context key of each valid pixel idx; the work that depends
     only on gt is done here, once per hierarchy. No S, however large,
     wraps a key or allocates memory in proportion to S.
 
-    spatial: pixel (r, c) lands in cell (floor(r*S/H), floor(c*S/W)). Each
-    axis's cells are computed with Python ints and dense-ranked; the key is
+    spatial: pixel (r, c) lands in cell (floor(r*S/H), floor(c*S/W)). A
+    row's dense rank is floor(r*min(S, H)/H), as the cells are dense for
+    S <= H and strictly increasing for S >= H (columns alike); the key is
     the row rank times the number of column cells plus the column rank.
     depth_percentile: pixels ranked by (gt value, linear index) are split
     into S contiguous runs, sizes differing by at most one with the larger
@@ -123,8 +119,8 @@ def _key_function(gt: DepthMap, idx: np.ndarray, kind: str):
         H, W = gt.height, gt.width
 
         def cells(S):
-            rows = _dense([r * S // H for r in range(H)])
-            cols = _dense([c * S // W for c in range(W)])
+            rows = np.arange(H, dtype=np.int64) * min(S, H) // H
+            cols = np.arange(W, dtype=np.int64) * min(S, W) // W
             return (rows[:, None] * (cols[-1] + 1) + cols).ravel()[idx]
         return cells
     vals = gt.values.ravel()[idx]
@@ -134,14 +130,11 @@ def _key_function(gt: DepthMap, idx: np.ndarray, kind: str):
 
         def runs(S):
             q, rem = divmod(idx.size, S)
-            if q == 0:
-                return rank
-            big = rem * (q + 1)  # members of the larger runs
-            return np.where(rank < big, rank // (q + 1), rem + (rank - big) // q)
+            big = rem * (q + 1)  # members of the larger runs; all when q == 0
+            return np.where(rank < big, rank // (q + 1),
+                            rem + (rank - big) // max(q, 1))
         return runs
     lo, hi = vals.min(), vals.max()
-    if hi == lo:
-        return lambda S: np.zeros(idx.shape, dtype=np.int64)
     if math.isinf(float(hi) - float(lo)):
         # halving is exact (but in the last bit of subnormals, far below
         # any bin) and brings the span into range

@@ -32,9 +32,9 @@ class DepthMap:
 
     def __post_init__(self):
         try:
-            # astype swaps an unpickled array's dtype object for numpy's
-            # own, which np.add.at's fast path needs; np.array keeps it
-            values = np.asarray(self.values, dtype=np.float64).astype(np.float64)
+            # one copy; the view swaps an unpickled array's dtype object
+            # for numpy's own, which np.add.at's fast path needs
+            values = np.array(self.values, dtype=np.float64).view(np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidMapError(f"values must be numeric: {exc}") from None
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
@@ -43,10 +43,10 @@ class DepthMap:
         if valid is None:
             valid = np.ones(values.shape, dtype=bool)
         else:
-            valid = np.asarray(valid, dtype=bool).astype(bool)
+            valid = np.array(valid, dtype=bool).view(bool)
             if valid.shape != values.shape:
                 raise InvalidMapError(f"mask shape {valid.shape} != values shape {values.shape}")
-        if not np.all(np.isfinite(values[valid])):
+        if not np.isfinite(values)[valid].all():
             raise InvalidMapError("non-finite value at a valid pixel")
         values.setflags(write=False)
         valid.setflags(write=False)
@@ -103,7 +103,7 @@ def read_pfm(path) -> DepthMap:
     if not np.isfinite(data).all():
         raise FormatError("non-finite value in PFM payload")
     # rows are stored bottom-to-top
-    return DepthMap(np.flipud(data).astype(np.float64))
+    return DepthMap(np.flipud(data))
 
 
 def _pfm_scale(line: str) -> float:

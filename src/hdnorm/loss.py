@@ -21,30 +21,30 @@ An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask. It is built level by level from each partition's
 flat member array: one joint-mask filter, one gather of gt values, and
 per-context medians (one np.partition each) and MADs (one slice sum
-each), computed exactly as np.median and np.mean would. It groups
-consecutive levels into *blocks* of at most BLOCK_MEMBERS members (a
-larger level is a block of its own). A block lists the members of its
-levels' surviving contexts as one flat array grouped by context, with
-their normalized gt values and their weights (one float when every used
-pixel survives in the same number of contexts). A LossConfig remembers
-the plan of the last (gt, joint mask) it evaluated, so calls that reuse
-one gt build it once. The *pass* does the per-prediction work with no
-loop over contexts. One stable argsort of pred serves every level, with
-or without the gradient, and a stable sort of each level's context
-labels regroups it (unless the level is one context over every used
-pixel) so that every context's median sits at a known offset. Each
-block then runs one forward and one backward pass: elementwise ops, and
-segment sums for the MAD and the gradient terms. The loss and the
-per-level values sum each level's slice of the block. On a small map
-numpy's per-call cost dominates, so stacking its levels pays; a large
-map runs its levels one at a time, because stacked temporaries fall out
-of cache. The median's derivative is nonzero only at a context's one or
-two middle ranks, so its terms are a sparse update at those pixels.
-Each block runs in a call of its own, so its member-sized arrays are
-freed before the next block starts; within it the residuals are divided
-into the repeated-MAD buffer, and the gradient overwrites the residuals
-and deviations with its weights and signs. At 480x640 a pass then holds
-about three member-sized arrays at a time beyond its inputs.
+each), computed exactly as np.median and np.mean would. Its levels form
+one *block* if they total at most BLOCK_MEMBERS members, else one block
+each. A block lists the members of its levels' surviving contexts as one
+flat array grouped by context, with their normalized gt values and their
+weights (one float when every used pixel survives in the same number of
+contexts). A LossConfig remembers the plan of the last (gt, joint mask)
+it evaluated, so calls that reuse one gt build it once. The *pass* does
+the per-prediction work with no loop over contexts. One stable argsort
+of pred serves every level, with or without the gradient, and a stable
+sort of each level's context labels regroups it (unless the level is one
+context over every used pixel) so that every context's median sits at a
+known offset. Each block then runs one forward and one backward pass:
+elementwise ops, and segment sums for the MAD and the gradient terms.
+The loss and the per-level values sum each level's slice of the block.
+On a small map numpy's per-call cost dominates, so stacking its levels
+pays; a large map runs its levels one at a time, because stacked
+temporaries fall out of cache. The median's derivative is nonzero only
+at a context's one or two middle ranks, so its terms are a sparse update
+at those pixels. Each block runs in a call of its own, so its
+member-sized arrays are freed before the next block starts; within it
+the residuals are divided into the repeated-MAD buffer, and the gradient
+overwrites the residuals and deviations with its weights and signs. At
+480x640 a pass then holds about three member-sized arrays at a time
+beyond its inputs.
 
 Gradients treat the median's sort selection and every sign() as
 locally constant; the loss is piecewise smooth and tests skip tie
@@ -66,8 +66,8 @@ from .errors import DegenerateInputError, InvalidMapError, ParameterError
 EPS = 1e-6
 # how close to a median/sign tie tie_mask flags a context
 TIE_MARGIN = 1e-4
-# most members in one block: stacked 4k-member levels (64x64) ran 25% faster,
-# stacked 73k-member ones (240x320) 10% slower, out of cache
+# a hierarchy of at most this many members is one block, else one per level:
+# stacked 4k-member levels (64x64) ran 25% faster, 73k-member ones 10% slower
 BLOCK_MEMBERS = 2**16
 
 
@@ -125,10 +125,10 @@ class _Plan:
 
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
-    filter rule rejects, and group the levels into blocks. Each level is
-    one flat pass over its members; only the medians and the MADs take a
-    loop over contexts, whose slices they reduce as np.median and
-    np.mean do."""
+    filter rule rejects, and make the blocks. Each level is one flat
+    pass over its members; only the medians and the MADs take a loop
+    over contexts, whose slices they reduce as np.median and np.mean
+    do."""
     jf = joint.ravel()
     gf = gt.values.ravel()
     npix = gf.size
@@ -174,13 +174,8 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     used = np.flatnonzero(counts)
     if used.size == 0:
         raise DegenerateInputError("all contexts filtered out")
-    groups, members = [[]], 0
-    for lv in levels:
-        if groups[-1] and members + lv[2].size > BLOCK_MEMBERS:
-            groups.append([])
-            members = 0
-        groups[-1].append(lv)
-        members += lv[2].size
+    fits = sum(lv[2].size for lv in levels) <= BLOCK_MEMBERS
+    groups = [levels] if fits else [[lv] for lv in levels]
     # a pixel's context count is known once every level is filtered
     top = int(counts.max())
     if np.count_nonzero(counts == top) == used.size:
@@ -240,9 +235,9 @@ def _middle_ranks(lv: _Level, order: np.ndarray):
 
 
 def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
-    """(lo, hi, dev, mad, res) of one block: the middle-rank pixels of
-    each context, and per member the deviation from the context median
-    and the normalized residual; mad is the MAD per context."""
+    """(lo, hi, dev, mad, s, res) of one block: the middle-rank pixels
+    of each context, its MAD and divisor s (1 where the MAD is 0), and
+    per member the deviation from the median and the normalized residual."""
     lo, hi = map(np.concatenate,
                  zip(*(_middle_ranks(lv, order) for lv in block.levels)))
     # equals np.median's (a + b) / 2 and cannot overflow when a == b
@@ -250,10 +245,11 @@ def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
     dev = pf[block.pix]
     dev -= np.repeat(med, block.sizes)
     mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
-    res = np.repeat(np.where(mad > 0, mad, 1.0), block.sizes)
+    s = np.where(mad > 0, mad, 1.0)
+    res = np.repeat(s, block.sizes)
     np.divide(dev, res, out=res)
     res -= block.ng
-    return lo, hi, dev, mad, res
+    return lo, hi, dev, mad, s, res
 
 
 def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
@@ -282,7 +278,7 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
                gradient: Optional[np.ndarray], used: int) -> list:
     """(tag, mean |residual|, sum of share * |residual|) of each level
     of one block; adds the block's gradient terms when gradient is set."""
-    lo, hi, dev, mad, res = _block_pass(block, pf, order)
+    lo, hi, dev, _, s, res = _block_pass(block, pf, order)
     absres = np.abs(res)
     means = [float(absres[lv.start:lv.stop].sum()) / (lv.stop - lv.start)
              if lv.stop > lv.start else 0.0 for lv in block.levels]
@@ -293,12 +289,12 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
     totals = [float(absres[lv.start:lv.stop].sum()) for lv in block.levels]
     del absres  # before the gradient's temporaries
     if gradient is not None:
-        _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev, mad,
+        _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev, s,
                             res, dead, used)
     return [(lv.tag, m, t) for lv, m, t in zip(block.levels, means, totals)]
 
 
-def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, dead,
+def _add_block_gradient(gradient, block, lo, hi, dev, s, res, dead,
                         used) -> None:
     """Add one block's d(loss)/d(pred) to gradient: ws/s - sign(dev)*v
     at every member, and each context's median term z at its lower and
@@ -308,7 +304,6 @@ def _add_block_gradient(gradient, block, lo, hi, dev, mad, res, dead,
     is set, overwrites res, and sign(dev) overwrites dev."""
     ws = np.copysign(block.share, res, out=res)
     ws[dead] = 0.0
-    s = np.where(mad > 0, mad, 1.0)
     c = 1.0 / (s * used)  # ws holds share, so 1/used folds in here
     # -d(loss)/d(MAD) / n; zero where the MAD is 0, as dev is
     v = np.add.reduceat(ws * dev, block.offsets) / s * c / block.sizes
@@ -374,7 +369,7 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
     order = _pred_order(plan, pf)
     tied = np.zeros(pf.size, dtype=bool)
     for block in plan.blocks:
-        lo, hi, dev, mad, res = _block_pass(block, pf, order)
+        lo, hi, dev, mad, s, res = _block_pass(block, pf, order)
         d = pf[block.pix]
         absdev = np.abs(dev)
         # sign(dev) flips; the middle's own dev is identically zero
@@ -384,7 +379,6 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
             dist = np.abs(d - np.repeat(pf[mid], block.sizes))
             near |= (dist > 0) & (dist < TIE_MARGIN)
         # residual sign flips, scaled by the normalization slope
-        s = np.where(mad > 0, mad, 1.0)
         near |= np.abs(res) < np.repeat(TIE_MARGIN * np.maximum(1.0, 1.0 / s),
                                         block.sizes)
         flag = np.logical_or.reduceat(near, block.offsets)

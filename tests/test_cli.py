@@ -116,6 +116,18 @@ def test_grad_check_random_fixture_passes(capsys, tmp_path):
     assert "result: pass" in out
 
 
+def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
+    # a constant pred has MAD 0, so tie_mask flags its one context: no pixel
+    # is checked, and the report still prints every line and fails
+    write_pfm(DepthMap(np.full((3, 3), 5.0)), tmp_path / "p.pfm")
+    write_pfm(DepthMap(np.arange(9.0).reshape(3, 3) + 1), tmp_path / "g.pfm")
+    rc, out, _ = run(capsys, "grad-check", str(tmp_path / "p.pfm"),
+                     str(tmp_path / "g.pfm"), "--kind", "ssi")
+    assert rc == 1
+    assert out == ("gradient_norm: 0.888888888889\nchecked_pixels: 0\n"
+                   "max_rel_error: nan\nresult: fail\n")
+
+
 def test_partition_golden_dump(capsys, fixture_files):
     _, gp, _ = fixture_files
     rc, out, _ = run(capsys, "partition", gp, "--kind", "spatial", "--s", "2")

@@ -3,6 +3,7 @@ import os
 import pickle
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ def test_depthmap_rejects_nan_at_valid_pixel():
     ([[object()]], None),                     # not numeric
     (np.zeros((2, 2)), np.ones((1, 2))),      # mask of another shape
     (np.array([[1.0, np.inf]]), None),        # non-finite at a valid pixel
+    ([[1j]], None),                           # complex
 ])
 def test_depthmap_errors_are_typed(values, valid):
     # also a ValueError, for callers that caught the untyped error
@@ -88,6 +90,19 @@ def test_pfm_roundtrip_bit_exact(tmp_path, rng):
     p = tmp_path / "rt.pfm"
     write_pfm(DepthMap(vals), p)
     assert np.array_equal(read_pfm(p).values, vals)
+
+
+def test_read_pfm_converts_once(tmp_path):
+    # the float32 payload plus one float64 copy of it
+    p = tmp_path / "vga.pfm"
+    write_pfm(DepthMap(np.ones((480, 640))), p)
+    tracemalloc.start()
+    try:
+        m = read_pfm(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m.values.nbytes, peak / m.values.nbytes
 
 
 def test_pfm_negative_scale_little_endian_byte_oracle(tmp_path):

@@ -434,10 +434,10 @@ def _blocked_results(pred, gt, hier):
     ("depth_range", (1, 2, 4)),
 ])
 def test_blocked_pass_matches_level_by_level(rng, monkeypatch, kind, sizes):
-    # small maps stack every level into one block by default; a cap of 1
-    # runs each level alone, and a cap of two levels' members groups them
-    # in pairs. Every trial with ties (rounded maps) also exercises the
-    # stable sort and the middle ranks a pixel holds in several levels.
+    # small maps stack every level into one block by default; a cap below
+    # the hierarchy's members runs each level as a block of its own. Every
+    # trial with ties (rounded maps) also exercises the stable sort and the
+    # middle ranks a pixel holds in several levels.
     for trial in range(12):
         h, w = int(rng.integers(8, 17)), int(rng.integers(8, 17))
         pred, gt = random_pair(rng, h, w, mask_prob=0.3)
@@ -450,18 +450,56 @@ def test_blocked_pass_matches_level_by_level(rng, monkeypatch, kind, sizes):
         if 16 in sizes:
             empty = blocks[0].levels[sizes.index(16)]
             assert empty.start == empty.stop
-        used = int((pred.valid & gt.valid).sum())
-        for cap in (1, 2 * used):
+        members = blocks[0].pix.size
+        for cap in (1, members - 1):
             with monkeypatch.context() as m:
                 m.setattr(loss, "BLOCK_MEMBERS", cap)
                 got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
-            assert 1 < len(blocks) <= len(sizes)
-            assert cap > 1 or len(blocks) == len(sizes)
+            assert len(blocks) == len(sizes)
             assert got.value == want.value and got_fwd.value == want_fwd.value
             assert got.per_level == want.per_level == want_fwd.per_level
             scale = np.abs(want.gradient).max()
             assert np.abs(got.gradient - want.gradient).max() <= 1e-15 * scale
             assert np.array_equal(got_tied, want_tied)
+
+
+def test_hierarchy_over_the_cap_runs_one_block_per_level(monkeypatch):
+    # 128x160 spatial{1,2,4,8}: 20,480 members per level, 81,920 in all, so
+    # each level is a block; the sums match the one-block pass
+    rng = np.random.default_rng(4)
+    gt = DepthMap(rng.uniform(1, 10, (128, 160)))
+    pred = DepthMap(gt.values + rng.normal(0, 1, gt.values.shape))
+    hier = build_hierarchy(gt, LevelSpec("spatial", (1, 2, 4, 8)))
+    got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
+    assert len(blocks) == 4
+    with monkeypatch.context() as m:
+        m.setattr(loss, "BLOCK_MEMBERS", 2**30)
+        want, want_fwd, want_tied, blocks = _blocked_results(pred, gt, hier)
+    assert len(blocks) == 1
+    assert got.value == want.value and got_fwd.value == want_fwd.value
+    assert got.per_level == want.per_level
+    scale = np.abs(want.gradient).max()
+    assert np.abs(got.gradient - want.gradient).max() <= 1e-15 * scale
+    assert np.array_equal(got_tied, want_tied)
+
+
+def test_int32_labels_two_member_contexts():
+    # depth_percentile S = 45,000 over 90,000 pixels keeps 42,971 contexts
+    # of two members, past int16 labels. Both normalized values of a
+    # two-member context are +-1, so each kept pair adds 2 to the residual
+    # sum when pred and gt order its members differently, else 0.
+    rng = np.random.default_rng(3)
+    g, p = rng.uniform(1, 5, (300, 300)), rng.uniform(1, 5, (300, 300))
+    gt, pred = DepthMap(g), DepthMap(p)
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec("depth_percentile", (45000,))))
+    report = hdn_loss(pred, gt, cfg)
+    assert cfg._memo[2].blocks[0].levels[0].label.dtype == np.int32
+    pairs = cfg.hierarchy.levels[0].members.reshape(-1, 2)
+    gp, pp = g.ravel()[pairs], p.ravel()[pairs]
+    kept = np.abs(gp[:, 0] - gp[:, 1]) / 2 > loss.EPS
+    flips = np.sign(gp[:, 0] - gp[:, 1]) != np.sign(pp[:, 0] - pp[:, 1])
+    assert kept.sum() == 42971 and report.used_pixels == 85942
+    assert abs(report.value - 2 * flips[kept].mean()) < 1e-9
 
 
 def _plan_levels(plan):
