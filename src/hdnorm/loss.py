@@ -343,19 +343,25 @@ def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
 
 def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
                        step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of hdn_loss over the joint-valid pixels."""
-    if step <= 0:
-        raise ParameterError(f"finite-difference step must be > 0, got {step}")
-    joint = joint_valid(pred, gt)
+    """Central differences of hdn_loss at the pixels a gradient check
+    compares, the joint-valid ones in a surviving context that tie_mask
+    leaves; NaN elsewhere. A non-finite difference raises InvalidMapError."""
+    if not 0 < step < np.inf:
+        raise ParameterError(f"finite-difference step must be finite and > 0, got {step}")
+    used = np.zeros(pred.values.size, dtype=bool)
+    used[_plan_for(cfg, gt, joint_valid(pred, gt)).used] = True
+    checked = used.reshape(pred.values.shape) & ~tie_mask(pred, gt, cfg)
     base = np.array(pred.values)
-    grad = np.zeros_like(base)
-    for r, c in zip(*np.nonzero(joint)):
-        for sgn in (+1, -1):
-            bumped = np.array(base)
-            bumped[r, c] += sgn * step
-            val = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
-            grad[r, c] += sgn * val
-        grad[r, c] /= 2 * step
+    grad = np.full(base.shape, np.nan)
+    for r, c in zip(*np.nonzero(checked)):
+        bumped = np.array(base)
+        bumped[r, c] += step
+        up = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
+        bumped[r, c] = base[r, c] - step
+        down = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
+        grad[r, c] = (up - down) / (2 * step)
+        if not np.isfinite(grad[r, c]):
+            raise InvalidMapError(f"non-finite loss difference at pixel ({r}, {c})")
     return grad
 
 

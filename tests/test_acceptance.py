@@ -22,7 +22,6 @@ from hdnorm import (
     read_mask,
     read_pfm,
     standard_fixture,
-    tie_mask,
     write_mask,
     write_pfm,
     align_scale_shift,
@@ -171,7 +170,7 @@ def test_criterion_5_gradient_checks():
             cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
             analytic = hdn_loss(pred, gt, cfg, with_gradient=True).gradient
             numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
-            keep = (pred.valid & gt.valid) & ~tie_mask(pred, gt, cfg)
+            keep = ~np.isnan(numeric)
             if not keep.any():
                 continue
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)

@@ -96,10 +96,18 @@ def test_loss_oversized_dimensions_exit2(capsys, fixture_files, tmp_path, fmt, b
     assert f"truncated {fmt} payload" in err
 
 
-def test_grad_check_step_zero_exit2(capsys, fixture_files):
+@pytest.mark.parametrize("option,value", [
+    ("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"),
+    ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
+    ("--tolerance", "inf")])
+def test_grad_check_bad_option_exit2(capsys, fixture_files, monkeypatch,
+                                     option, value):
+    # rejected by name before any loss is evaluated
+    monkeypatch.setattr(cli.loss_mod, "hdn_loss", None)
     pp, gp, _ = fixture_files
-    rc, _, err = run(capsys, "grad-check", pp, gp, "--step", "0")
-    assert rc == 2
+    rc, out, err = run(capsys, "grad-check", pp, gp, option, value)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {option} must be finite and > 0, got {float(value)}\n"
 
 
 def test_grad_check_random_fixture_passes(capsys, tmp_path):
@@ -125,6 +133,20 @@ def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
                      str(tmp_path / "g.pfm"), "--kind", "ssi")
     assert rc == 1
     assert out == ("gradient_norm: 0.888888888889\nchecked_pixels: 0\n"
+                   "max_rel_error: nan\nresult: fail\n")
+
+
+def test_grad_check_skips_pixels_outside_surviving_contexts(capsys, tmp_path):
+    # hdn_dr at S = 4 on the synth pair keeps only the foreground context,
+    # which tie_mask flags; the 3,072 background pixels (gt MAD 0) are in
+    # no surviving context, so none is checked and the check fails
+    gp, pp = str(tmp_path / "gt.pfm"), str(tmp_path / "pred.pfm")
+    assert run(capsys, "synth", "--out", gp)[0] == 0
+    assert run(capsys, "synth", "--noise-sigma", "0.1", "--out", pp)[0] == 0
+    rc, out, _ = run(capsys, "grad-check", pp, gp, "--kind", "hdn_dr",
+                     "--levels", "4")
+    assert rc == 1
+    assert out == ("gradient_norm: 6.55891143371\nchecked_pixels: 0\n"
                    "max_rel_error: nan\nresult: fail\n")
 
 
@@ -347,6 +369,26 @@ def test_internal_value_error_exits1_with_traceback(fixture_files):
     assert done.stdout == ""
     assert done.stderr.startswith("Traceback (most recent call last):")
     assert done.stderr.endswith("ValueError: internal bug\n")
+
+
+def test_failed_allocation_exits2(tmp_path):
+    # a child process under a 4 GiB address-space limit asks synth for a
+    # 10^6 x 10^6 map (8 TB): numpy cannot allocate it, and the CLI
+    # reports that as an input error, not a traceback
+    out = tmp_path / "big.pfm"
+    src = str(Path(hdnorm.__file__).resolve().parent.parent)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "import hdnorm.cli\n"
+            "sys.exit(hdnorm.cli.main(['synth', '--height', '1000000', "
+            f"'--width', '1000000', '--out', {str(out)!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_inputs_exit2(capsys, fixture_files):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,18 @@ from hdnorm import (
     LevelSpec,
     LossConfig,
     build_hierarchy,
+    generate_scene,
     hdn_loss,
     l1_plus_hdn,
+    loss_config,
     numerical_gradient,
+    read_pfm,
+    standard_fixture,
     tie_mask,
+    write_pfm,
 )
+from hdnorm import loss
+from hdnorm.errors import InvalidMapError
 
 from conftest import random_pair
 
@@ -39,11 +48,83 @@ def test_gradient_matches_finite_differences(rng, kind, sizes):
         cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
         analytic = analytic_gradient(pred, gt, cfg)
         numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
-        keep = (pred.valid & gt.valid) & ~tie_mask(pred, gt, cfg)
+        keep = ~np.isnan(numeric)
         if keep.any():
             assert rel_error(analytic, numeric)[keep].max() < 1e-4
             checked += int(keep.sum())
     assert checked > 50
+
+
+def _count_loss_calls(monkeypatch, value_at=None):
+    """Wrap the hdn_loss that numerical_gradient calls; returns the list
+    it appends one entry to per call. value_at = (n, value) makes call n
+    (from 1) report that value instead."""
+    calls, real = [], loss.hdn_loss
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        report = real(*args, **kwargs)
+        if value_at is not None and len(calls) == value_at[0]:
+            report = dataclasses.replace(report, value=value_at[1])
+        return report
+
+    monkeypatch.setattr(loss, "hdn_loss", counted)
+    return calls
+
+
+def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
+    # NaN exactly outside joint & used & ~tie_mask, two loss calls per
+    # other pixel. The last gt is constant over its right half, a
+    # depth_range context the filter drops: joint-valid, never checked.
+    calls = _count_loss_calls(monkeypatch)
+    cases = [(random_pair(rng, 5, 5, mask_prob=0.1), kind, sizes)
+             for kind, sizes in KIND_SIZES for _ in range(8)]
+    pred, gt = random_pair(rng, 4, 6)
+    gt = DepthMap(np.where(np.arange(6) < 3, gt.values, 20.0))
+    cases.append(((pred, gt), "depth_range", (2,)))
+    for (pred, gt), kind, sizes in cases:
+        cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+        start = len(calls)
+        numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
+        joint = pred.valid & gt.valid
+        used = np.zeros(joint.size, dtype=bool)
+        used[loss._plan_for(cfg, gt, joint).used] = True
+        checked = joint & used.reshape(joint.shape) & ~tie_mask(pred, gt, cfg)
+        assert np.array_equal(~np.isnan(numeric), checked)
+        assert len(calls) - start == 2 * checked.sum()
+    assert (joint.sum(), checked.sum()) == (24, 12)
+
+
+@pytest.mark.parametrize("kind,levels", [
+    ("ssi", (1,)), ("hdn_s", (1, 2, 4, 8)), ("hdn_dp", (1, 2, 4)),
+    ("hdn_dr", (1, 2, 4)), ("hdn_dr", (4,))],
+    ids=["ssi", "hdn_s:1,2,4,8", "hdn_dp:1,2,4", "hdn_dr:1,2,4", "hdn_dr:4"])
+def test_numerical_gradient_cost_on_readme_pair(tmp_path, monkeypatch, kind, levels):
+    # the README's A/B configs, the synth gt against synth --noise-sigma
+    # 0.1: tie_mask flags every surviving context, so no pixel is checked
+    # and no loss is evaluated (two per joint-valid pixel, 8,192, before
+    # numerical_gradient skipped unchecked pixels)
+    spec = standard_fixture()
+    for name, scene in (("gt", spec), ("pred", dataclasses.replace(spec, noise_sigma=0.1))):
+        write_pfm(generate_scene(scene), tmp_path / f"{name}.pfm")
+    gt, pred = read_pfm(tmp_path / "gt.pfm"), read_pfm(tmp_path / "pred.pfm")
+    calls = _count_loss_calls(monkeypatch)
+    numeric = numerical_gradient(pred, gt, loss_config(gt, kind, levels))
+    assert len(calls) == 2 * np.count_nonzero(~np.isnan(numeric)) == 0
+
+
+@pytest.mark.parametrize("call", [1, 2, 5])  # up and down bump, a later pixel
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_numerical_gradient_raises_on_non_finite_difference(rng, monkeypatch,
+                                                            call, value):
+    # a non-finite loss at one bump raises; it never becomes the NaN that
+    # marks an unchecked pixel
+    pred, gt = random_pair(rng, 5, 5)
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1, 2))))
+    assert np.count_nonzero(~np.isnan(numerical_gradient(pred, gt, cfg))) >= 3
+    _count_loss_calls(monkeypatch, value_at=(call, value))
+    with pytest.raises(InvalidMapError, match="non-finite loss difference"):
+        numerical_gradient(pred, gt, cfg)
 
 
 def test_median_tie_goes_to_lowest_index():
