@@ -155,10 +155,11 @@ def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
 
 def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
     """Fixed-step gradient descent on the prediction map, with the step
-    halved whenever a step would increase the loss or leave a non-finite
-    value at a valid pixel. Contexts are built once from gt and never
-    change. Raises DivergenceError when the loss is non-finite or no
-    halving of the step gives a finite candidate."""
+    halved whenever a step would increase the loss, leave a non-finite
+    value at a valid pixel or give values too large to normalize.
+    Contexts are built once from gt and never change. Raises
+    DivergenceError when the loss is non-finite or no halving of the step
+    gives a candidate the loss can evaluate."""
     loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
     pred = DepthMap(_initial_prediction(gt, cfg), gt.valid)
     lr = cfg.step_size
@@ -174,13 +175,14 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
         for _ in range(60):
             with np.errstate(over="ignore", invalid="ignore"):
                 cand = pred.values - lr * grad
-            try:  # DepthMap rejects a non-finite value at a valid pixel
+            try:  # DepthMap rejects a non-finite value at a valid pixel,
+                # the loss a pred too large to normalize
                 cand_map = DepthMap(cand, gt.valid)
+                cand_report = hdn_loss(cand_map, gt, loss_cfg, with_gradient=True)
             except InvalidMapError:
                 lr /= 2
                 continue
             finite = True
-            cand_report = hdn_loss(cand_map, gt, loss_cfg, with_gradient=True)
             if cand_report.value <= current:
                 pred = cand_map
                 grad = cand_report.gradient

@@ -30,9 +30,9 @@ contexts). A LossConfig remembers the plan of the last (gt, joint mask)
 it evaluated, so calls that reuse one gt build it once. The *pass* does
 the per-prediction work with no loop over contexts. One stable argsort
 of pred serves every level, with or without the gradient, and a stable
-sort of each level's context labels regroups it (unless the level is one
-context over every used pixel) so that every context's median sits at a
-known offset. Each block then runs one forward and one backward pass:
+sort of each level's context labels, each as narrow as the level's
+context count allows, regroups it so that every context's median sits at
+a known offset. Each block then runs one forward and one backward pass:
 elementwise ops, and segment sums for the MAD and the gradient terms.
 The loss and the per-level values sum each level's slice of the block.
 On a small map numpy's per-call cost dominates, so stacking its levels
@@ -98,7 +98,6 @@ class _Level:
     stop: int
     lo: np.ndarray     # per context: position of its lower and upper
     hi: np.ndarray     # middle rank in the level's pred-sorted members
-    whole: bool        # one context over every used pixel
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     jf = joint.ravel()
     gf = gt.values.ravel()
     npix = gf.size
-    counts = np.zeros(npix, dtype=np.int64)
+    counts = np.zeros(npix, dtype=np.min_scalar_type(len(cfg.hierarchy.levels)))
     levels = []
     for part in cfg.hierarchy.levels:
         pix, sizes = part.members, part.sizes
@@ -166,7 +165,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
             sel = np.repeat(keep, sizes)
             pix, dev, sizes, mad = pix[sel], dev[sel], sizes[keep], mad[keep]
         k = sizes.size
-        label = np.full(npix, k, dtype=np.int16 if k < 2**15 else np.int32)
+        label = np.full(npix, k, dtype=np.min_scalar_type(k))
         label[pix] = np.repeat(np.arange(k, dtype=label.dtype), sizes)
         counts += label < k
         dev /= np.repeat(mad, sizes)
@@ -180,10 +179,10 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     top = int(counts.max())
     if np.count_nonzero(counts == top) == used.size:
         counts = 1.0 / top  # every used pixel has top contexts
-    return _Plan(tuple(_block(g, counts, used.size) for g in groups), used)
+    return _Plan(tuple(_block(g, counts) for g in groups), used)
 
 
-def _block(group, counts, used: int) -> _Block:
+def _block(group, counts) -> _Block:
     """One block of the (tag, label, pix, sizes, ng) levels in group. A
     block of one level holds that level's own arrays. counts is the
     per-pixel context count, or the one share of every pixel."""
@@ -193,8 +192,7 @@ def _block(group, counts, used: int) -> _Block:
     for tag, label, pix, sizes, _ in group:
         offsets = np.cumsum(sizes) - sizes
         levels.append(_Level(tag, label, start, start + pix.size,
-                             offsets + (sizes - 1) // 2, offsets + sizes // 2,
-                             sizes.size == 1 and sizes[0] == used))
+                             offsets + (sizes - 1) // 2, offsets + sizes // 2))
         start += pix.size
     pix = cat([g[2] for g in group])
     sizes = cat([g[3] for g in group])
@@ -224,14 +222,11 @@ def _pred_order(plan: _Plan, pf: np.ndarray) -> np.ndarray:
 
 def _middle_ranks(lv: _Level, order: np.ndarray):
     """Pixels at the lower and upper middle rank of each context of one
-    level (one pixel for odd sizes). The stable sort of the labels, a
-    radix sort for int16, keeps pred order within each context. A level
-    whose one context holds every used pixel is already in that order."""
-    lo, hi = lv.lo, lv.hi
-    if not lv.whole:
-        perm = np.argsort(lv.label[order], kind="stable")
-        lo, hi = perm[lo], perm[hi]
-    return order[lo], order[hi]
+    level (one pixel for odd sizes). The stable sort of the labels (one
+    radix pass when they are uint8, up to 255 contexts) keeps pred order
+    within each context."""
+    perm = np.argsort(lv.label[order], kind="stable")
+    return order[perm[lv.lo]], order[perm[lv.hi]]
 
 
 def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
@@ -242,9 +237,14 @@ def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
                  zip(*(_middle_ranks(lv, order) for lv in block.levels)))
     # equals np.median's (a + b) / 2 and cannot overflow when a == b
     med = 0.5 * pf[lo] + 0.5 * pf[hi]
-    dev = pf[block.pix]
-    dev -= np.repeat(med, block.sizes)
-    mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
+    try:  # raising costs less per call than ignoring and checking mad
+        with np.errstate(over="raise"):
+            dev = pf[block.pix]
+            dev -= np.repeat(med, block.sizes)
+            mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
+    except FloatingPointError:
+        raise InvalidMapError("pred values too large to normalize: the MAD "
+                              "of a context overflows") from None
     s = np.where(mad > 0, mad, 1.0)
     res = np.repeat(s, block.sizes)
     np.divide(dev, res, out=res)
@@ -257,7 +257,8 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """Hierarchical loss over cfg.hierarchy (built from this gt). With
     with_gradient set, the report also holds the analytical
     d(loss)/d(pred) as an H x W array, zero at invalid pixels and at
-    pixels with no surviving context."""
+    pixels with no surviving context. A pred context whose MAD overflows
+    raises InvalidMapError."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf)
@@ -323,11 +324,14 @@ def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """L1 regression loss plus lam times the hierarchical loss."""
     if not 0 <= lam < np.inf:
         raise ParameterError(f"lambda must be finite and >= 0, got {lam}")
-    joint = joint_valid(pred, gt)
-    idx = joint.ravel()
-    diff = pred.values.ravel()[idx] - gt.values.ravel()[idx]
-    l1 = float(np.mean(np.abs(diff)))
     hdn = hdn_loss(pred, gt, cfg, with_gradient=with_gradient)
+    idx = joint_valid(pred, gt).ravel()
+    with np.errstate(over="ignore"):
+        diff = pred.values.ravel()[idx] - gt.values.ravel()[idx]
+        l1 = float(np.mean(np.abs(diff)))
+    if not np.isfinite(l1):
+        raise InvalidMapError("pred values too large to normalize: the L1 "
+                              "mean overflows")
     gradient = None
     if with_gradient:
         gradient = np.zeros(pred.values.size)

@@ -8,6 +8,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hdnorm import DepthMap, SceneSpec, hdn_loss, loss_config
 
+# the loss configs of the README's A/B table
+README_CONFIGS = [("ssi", (1,)), ("hdn_s", (1, 2, 4, 8)), ("hdn_dp", (1, 2, 4)),
+                  ("hdn_dr", (1, 2, 4)), ("hdn_dr", (4,))]
+
 
 def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
     """Random pred/gt pair with well-separated values (no near-ties) and

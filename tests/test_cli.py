@@ -491,3 +491,22 @@ def test_huge_level_sizes(capsys, fixture_files, kind, tag):
         assert rc == 2 and err == "error: all contexts filtered out\n"
         rc, out, _ = run(capsys, "loss", pp, gp, "--kind", kind, "--levels", f"1,{S}")
         assert rc == 0 and out == base + f"level {tag}-{S}: 0\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--kind", "hdn_s", "--levels", "1,2,4,8"),
+    ("--kind", "ssi", "--lambda", "1.0"),
+])
+def test_loss_pred_too_large_exit2(capsys, tmp_path, flags):
+    # the standard fixture and a noisy pred scaled to max |pred| = 1e306,
+    # where a pred MAD overflows: an input error, not a value
+    gt = hdnorm.generate_scene(hdnorm.standard_fixture()).values
+    pred = gt + 0.1 * np.random.default_rng(0).standard_normal(gt.shape)
+    pred *= 1e306 / np.abs(pred).max()
+    paths = [str(tmp_path / "pred.csv"), str(tmp_path / "gt.csv")]
+    for path, values in zip(paths, (pred, gt)):
+        np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    rc, out, err = run(capsys, "loss", *paths, *flags)
+    assert rc == 2 and "value:" not in out and "Traceback" not in err
+    assert err.splitlines() == ["error: pred values too large to normalize: "
+                                "the MAD of a context overflows"]

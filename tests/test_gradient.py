@@ -21,7 +21,7 @@ from hdnorm import (
 from hdnorm import loss
 from hdnorm.errors import InvalidMapError
 
-from conftest import random_pair
+from conftest import README_CONFIGS, random_pair
 
 KIND_SIZES = [
     ("spatial", (1,)),  # SSI special case
@@ -95,9 +95,7 @@ def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
     assert (joint.sum(), checked.sum()) == (24, 12)
 
 
-@pytest.mark.parametrize("kind,levels", [
-    ("ssi", (1,)), ("hdn_s", (1, 2, 4, 8)), ("hdn_dp", (1, 2, 4)),
-    ("hdn_dr", (1, 2, 4)), ("hdn_dr", (4,))],
+@pytest.mark.parametrize("kind,levels", README_CONFIGS,
     ids=["ssi", "hdn_s:1,2,4,8", "hdn_dp:1,2,4", "hdn_dr:1,2,4", "hdn_dr:4"])
 def test_numerical_gradient_cost_on_readme_pair(tmp_path, monkeypatch, kind, levels):
     # the README's A/B configs, the synth gt against synth --noise-sigma

@@ -122,14 +122,15 @@ def test_fit_with_overflowing_step_size_is_clean():
 def test_fit_rejects_non_finite_candidates():
     # on a 2x4 map with a 1e-3 depth range the first candidates overflow
     # to inf and must be halved away, not raise from DepthMap; the first
-    # finite ones sit near the float limit, where the loss's own sums
-    # overflow, which this test does not check
+    # finite ones sit near the float limit, where the loss cannot
+    # normalize them and they must be halved away too, with no overflow
+    # warning (the suite turns RuntimeWarning into an error)
     gt = DepthMap(np.array([[1.0, 1.001, 1.0004, 1.0007],
                             [1.0002, 1.0009, 1.0001, 1.0005]]))
     cfg = FitConfig("hdn_dr", (1, 2), init="random", step_size=1e308, steps=3)
-    with np.errstate(over="ignore"):
-        fitted, report = fit_depth(gt, cfg)
+    fitted, report = fit_depth(gt, cfg)
     assert np.isfinite(fitted.values).all()
+    assert np.abs(fitted.values).max() > 1e300  # it did run near the limit
     assert np.isfinite(report.loss_trajectory).all()
 
 

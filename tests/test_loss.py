@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from hdnorm import loss
 from hdnorm.errors import (
     DegenerateInputError,
     EmptyInputError,
+    InvalidMapError,
     ParameterError,
     ShapeMismatchError,
 )
 
-from conftest import batch_ssi, random_pair, small_fixture, ssi
+from conftest import README_CONFIGS, batch_ssi, random_pair, small_fixture, ssi
 from oracles import (
     ref_hdn_gradient,
     ref_hdn_loss,
@@ -485,7 +487,7 @@ def test_hierarchy_over_the_cap_runs_one_block_per_level(monkeypatch):
 
 def test_int32_labels_two_member_contexts():
     # depth_percentile S = 45,000 over 90,000 pixels keeps 42,971 contexts
-    # of two members, past int16 labels. Both normalized values of a
+    # of two members, past one-byte labels. Both normalized values of a
     # two-member context are +-1, so each kept pair adds 2 to the residual
     # sum when pred and gt order its members differently, else 0.
     rng = np.random.default_rng(3)
@@ -493,7 +495,7 @@ def test_int32_labels_two_member_contexts():
     gt, pred = DepthMap(g), DepthMap(p)
     cfg = LossConfig(build_hierarchy(gt, LevelSpec("depth_percentile", (45000,))))
     report = hdn_loss(pred, gt, cfg)
-    assert cfg._memo[2].blocks[0].levels[0].label.dtype == np.int32
+    assert cfg._memo[2].blocks[0].levels[0].label.dtype == np.uint16
     pairs = cfg.hierarchy.levels[0].members.reshape(-1, 2)
     gp, pp = g.ravel()[pairs], p.ravel()[pairs]
     kept = np.abs(gp[:, 0] - gp[:, 1]) / 2 > loss.EPS
@@ -609,8 +611,8 @@ def test_affine_prediction_gradient_has_no_negative_zero(rng, kind, sizes):
 
 def _per_member_share(real_block):
     """_block with its share always one array entry per member."""
-    def block(group, counts, used):
-        b = real_block(group, counts, used)
+    def block(group, counts):
+        b = real_block(group, counts)
         return dataclasses.replace(b, share=np.broadcast_to(b.share, b.pix.shape).copy())
     return block
 
@@ -661,3 +663,80 @@ def test_gradient_pass_holds_one_block_at_a_time():
         tracemalloc.stop()
     member = 8 * report.used_pixels
     assert peak < 6 * member, peak / member
+
+
+def test_labels_as_narrow_as_the_context_count():
+    # a level's labels hold 0..k-1 and k at pixels outside its contexts,
+    # so 255 contexts fit one byte and 256 need two
+    rng = np.random.default_rng(0)
+    gt = DepthMap(rng.uniform(1, 5, (32, 32)))
+    cfg = LossConfig(build_hierarchy(gt, LevelSpec("depth_percentile", (255, 256))))
+    hdn_loss(DepthMap(rng.uniform(1, 5, (32, 32))), gt, cfg)
+    levels = [lv for block in cfg._memo[2].blocks for lv in block.levels]
+    assert [lv.lo.size for lv in levels] == [255, 256]
+    assert [lv.label.dtype for lv in levels] == [np.uint8, np.uint16]
+    # every level of the README configs fits one byte
+    fixture = generate_scene(standard_fixture())
+    pred = DepthMap(fixture.values + rng.normal(0, 0.1, fixture.values.shape))
+    for kind, sizes in README_CONFIGS:
+        cfg = loss_config(fixture, kind, sizes)
+        hdn_loss(pred, fixture, cfg)
+        assert {lv.label.dtype for block in cfg._memo[2].blocks
+                for lv in block.levels} == {np.dtype(np.uint8)}
+
+
+@pytest.mark.parametrize("mask_prob", [0.0, 0.3])
+def test_whole_level_regroup_is_identity(rng, mask_prob):
+    # one context over every used pixel labels each of them 0, so the
+    # stable label sort leaves the pred order as it is
+    pred, gt = random_pair(rng, 9, 11, mask_prob=mask_prob)
+    cfg = loss_config(gt, "ssi")
+    hdn_loss(pred, gt, cfg)
+    plan = cfg._memo[2]
+    (lv,) = plan.blocks[0].levels
+    order = loss._pred_order(plan, pred.values.ravel())
+    assert lv.lo.size == 1 and lv.stop == plan.used.size
+    assert not lv.label[order].any()
+    lo, hi = loss._middle_ranks(lv, order)
+    assert np.array_equal(lo, order[lv.lo]) and np.array_equal(hi, order[lv.hi])
+
+
+def _near_float_limit(scale):
+    """The standard fixture's gt and a noisy pred scaled so that its
+    largest magnitude is scale."""
+    gt = generate_scene(standard_fixture())
+    p = gt.values + 0.1 * np.random.default_rng(0).standard_normal(gt.values.shape)
+    return DepthMap(p * (scale / np.abs(p).max())), gt
+
+
+@pytest.mark.parametrize("kind,sizes", README_CONFIGS[:4])
+def test_pred_too_large_to_normalize_raises(kind, sizes):
+    # at 1e306 a pred MAD sum overflows float64, and dividing by that inf
+    # would give levels of exactly 1
+    pred, gt = _near_float_limit(1e306)
+    cfg = loss_config(gt, kind, sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: hdn_loss(pred, gt, cfg),
+                     lambda: hdn_loss(pred, gt, cfg, with_gradient=True),
+                     lambda: loss.tie_mask(pred, gt, cfg),
+                     lambda: l1_plus_hdn(pred, gt, cfg, 1.0)):
+            with pytest.raises(InvalidMapError, match="pred values too large"):
+                call()
+    # a tenth of that normalizes, as a smaller scale would
+    small, _ = _near_float_limit(1.0)
+    big, _ = _near_float_limit(1e305)
+    assert hdn_loss(big, gt, cfg).value == pytest.approx(hdn_loss(small, gt, cfg).value)
+
+
+def test_l1_mean_too_large_raises():
+    # pred's spread normalizes, but its distance from gt sums past the
+    # float limit over 4,096 pixels
+    _, gt = _near_float_limit(1.0)
+    pred = DepthMap(1e308 + 1e300 * gt.values)
+    cfg = loss_config(gt, "hdn_dr", (1, 2, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(hdn_loss(pred, gt, cfg).value)
+        with pytest.raises(InvalidMapError, match="L1 mean overflows"):
+            l1_plus_hdn(pred, gt, cfg, 1.0)
