@@ -10,7 +10,7 @@ from .contexts import (
     global_context,
     partition_dump,
 )
-from .loss import LossConfig, LossReport, hdn_loss, l1_plus_hdn, numerical_gradient, tie_mask
+from .loss import LossConfig, LossReport, hdn_loss, l1_plus_hdn, numerical_gradient
 from .metrics import EvalReport, align_scale_shift, evaluate, scatter_sample
 from .harness import (
     FitConfig,

@@ -75,20 +75,17 @@ def cmd_loss(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    for option, x in (("--step", args.step), ("--tolerance", args.tolerance)):
-        if not 0 < x < np.inf:
-            raise ParameterError(f"{option} must be finite and > 0, got {x}")
     pred = _load_map(args.pred, args.pred_mask)
     gt = _load_map(args.gt, args.gt_mask)
     cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels))
     analytic = loss_mod.hdn_loss(pred, gt, cfg, with_gradient=True).gradient
-    numeric = loss_mod.numerical_gradient(pred, gt, cfg, step=args.step)
+    numeric = loss_mod.numerical_gradient(pred, gt, cfg)
     checked = ~np.isnan(numeric)  # numerical_gradient decides what is checked
     print(f"gradient_norm: {float(np.abs(analytic).sum()):.12g}")
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     rel = (np.abs(analytic - numeric) / denom)[checked]
     err = float(rel.max()) if rel.size else np.nan  # nan fails the check
-    ok = err < args.tolerance
+    ok = err < loss_mod.GRAD_TOLERANCE
     print(f"checked_pixels: {rel.size}")
     print(f"max_rel_error: {err:.6g}")
     print(f"result: {'pass' if ok else 'fail'}")
@@ -248,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
     _add_pair_flags(p)
     _add_loss_flags(p)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("partition", help="dump one partition level")

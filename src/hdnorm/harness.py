@@ -156,7 +156,7 @@ def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
 def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
     """Fixed-step gradient descent on the prediction map, with the step
     halved whenever a step would increase the loss, leave a non-finite
-    value at a valid pixel or give values too large to normalize.
+    value at a valid pixel or give a pred the loss rejects.
     Contexts are built once from gt and never change. Raises
     DivergenceError when the loss is non-finite or no halving of the step
     gives a candidate the loss can evaluate."""
@@ -176,7 +176,7 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
             with np.errstate(over="ignore", invalid="ignore"):
                 cand = pred.values - lr * grad
             try:  # DepthMap rejects a non-finite value at a valid pixel,
-                # the loss a pred too large to normalize
+                # the loss a pred it cannot normalize or differentiate
                 cand_map = DepthMap(cand, gt.valid)
                 cand_report = hdn_loss(cand_map, gt, loss_cfg, with_gradient=True)
             except InvalidMapError:

@@ -64,8 +64,11 @@ from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
 EPS = 1e-6
-# how close to a median/sign tie tie_mask flags a context
+# how close to a median/sign tie _tie_mask flags a context
 TIE_MARGIN = 1e-4
+# numerical_gradient's step stays below TIE_MARGIN, so no bump crosses a kink
+GRAD_STEP = 1e-5
+GRAD_TOLERANCE = 1e-4  # a gradient check's bound on the relative error
 # a hierarchy of at most this many members is one block, else one per level:
 # stacked 4k-member levels (64x64) ran 25% faster, 73k-member ones 10% slower
 BLOCK_MEMBERS = 2**16
@@ -257,8 +260,8 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """Hierarchical loss over cfg.hierarchy (built from this gt). With
     with_gradient set, the report also holds the analytical
     d(loss)/d(pred) as an H x W array, zero at invalid pixels and at
-    pixels with no surviving context. A pred context whose MAD overflows
-    raises InvalidMapError."""
+    pixels with no surviving context. A pred context whose MAD overflows,
+    or with the gradient whose 1 / MAD overflows, raises InvalidMapError."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf)
@@ -290,8 +293,13 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
     totals = [float(absres[lv.start:lv.stop].sum()) for lv in block.levels]
     del absres  # before the gradient's temporaries
     if gradient is not None:
-        _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev, s,
-                            res, dead, used)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev,
+                                    s, res, dead, used)
+        except FloatingPointError:
+            raise InvalidMapError("pred values too small to differentiate: 1 / "
+                                  "the MAD of a context overflows") from None
     return [(lv.tag, m, t) for lv, m, t in zip(block.levels, means, totals)]
 
 
@@ -305,7 +313,7 @@ def _add_block_gradient(gradient, block, lo, hi, dev, s, res, dead,
     is set, overwrites res, and sign(dev) overwrites dev."""
     ws = np.copysign(block.share, res, out=res)
     ws[dead] = 0.0
-    c = 1.0 / (s * used)  # ws holds share, so 1/used folds in here
+    c = 1.0 / s / used  # ws holds share, so 1/used folds in here
     # -d(loss)/d(MAD) / n; zero where the MAD is 0, as dev is
     v = np.add.reduceat(ws * dev, block.offsets) / s * c / block.sizes
     sgn = np.sign(dev, out=dev)
@@ -345,35 +353,32 @@ def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
 # ---------------------------------------------------------------------------
 # Finite-difference checking support
 
-def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
-                       step: float = 1e-5) -> np.ndarray:
-    """Central differences of hdn_loss at the pixels a gradient check
-    compares, the joint-valid ones in a surviving context that tie_mask
-    leaves; NaN elsewhere. A non-finite difference raises InvalidMapError."""
-    if not 0 < step < np.inf:
-        raise ParameterError(f"finite-difference step must be finite and > 0, got {step}")
+def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
+    """Central differences of hdn_loss (step GRAD_STEP) at the pixels a
+    gradient check compares: joint-valid, in a surviving context and not
+    in _tie_mask; NaN elsewhere. A non-finite one raises InvalidMapError."""
     used = np.zeros(pred.values.size, dtype=bool)
     used[_plan_for(cfg, gt, joint_valid(pred, gt)).used] = True
-    checked = used.reshape(pred.values.shape) & ~tie_mask(pred, gt, cfg)
+    checked = used.reshape(pred.values.shape) & ~_tie_mask(pred, gt, cfg)
     base = np.array(pred.values)
     grad = np.full(base.shape, np.nan)
     for r, c in zip(*np.nonzero(checked)):
         bumped = np.array(base)
-        bumped[r, c] += step
+        bumped[r, c] += GRAD_STEP
         up = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
-        bumped[r, c] = base[r, c] - step
+        bumped[r, c] = base[r, c] - GRAD_STEP
         down = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
-        grad[r, c] = (up - down) / (2 * step)
+        grad[r, c] = (up - down) / (2 * GRAD_STEP)
         if not np.isfinite(grad[r, c]):
             raise InvalidMapError(f"non-finite loss difference at pixel ({r}, {c})")
     return grad
 
 
-def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
-    """Pixels near a median/sign tie, where finite differences straddle a
-    kink of the piecewise-smooth loss, or in a context of pred MAD 0.
-    Conservative: if any member of a context is within TIE_MARGIN of a
-    tie, the whole context is flagged. Reads the gradient's pred order."""
+def _tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
+    """Pixels numerical_gradient skips: near a median/sign tie, where a
+    GRAD_STEP bump straddles a kink of the piecewise-smooth loss, or in a
+    context of pred MAD 0. Conservative: a context with any member within
+    TIE_MARGIN of a tie is flagged whole. Reads the gradient's pred order."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf)
@@ -388,9 +393,8 @@ def tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
         for mid in (lo, hi):
             dist = np.abs(d - np.repeat(pf[mid], block.sizes))
             near |= (dist > 0) & (dist < TIE_MARGIN)
-        # residual sign flips, scaled by the normalization slope
-        near |= np.abs(res) < np.repeat(TIE_MARGIN * np.maximum(1.0, 1.0 / s),
-                                        block.sizes)
+        # residual sign flips, scaled by the normalization slope 1 / s
+        near |= np.abs(res) * np.repeat(np.minimum(1.0, s), block.sizes) < TIE_MARGIN
         flag = np.logical_or.reduceat(near, block.offsets)
         flag |= mad == 0  # divisor switch
         tied[block.pix[np.repeat(flag, block.sizes)]] = True

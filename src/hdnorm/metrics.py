@@ -58,10 +58,14 @@ def _align(d: np.ndarray, dstar: np.ndarray) -> tuple[float, float]:
     # pred is constant over the mask and does not depend on pred's scale
     if det <= 1e-12 * sxx * n:
         raise DegenerateAlignmentError("constant prediction over the joint mask")
-    sxy, sy = float(np.dot(d, dstar)), float(dstar.sum())
-    s = (sxy * n - sx * sy) / det
+    with np.errstate(over="ignore", invalid="ignore"):
+        sxy, sy = float(np.dot(d, dstar)), float(dstar.sum())
+        s = float(np.ldexp((sxy * n - sx * sy) / det, -exp))
     t = (sxx * sy - sx * sxy) / det
-    return math.ldexp(s, -exp), t
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise InvalidMapError("pred and gt too far apart in scale to align: "
+                              "the scale or shift overflows")
+    return s, t
 
 
 def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
@@ -75,15 +79,17 @@ def evaluate(pred: DepthMap, gt: DepthMap, align: bool = True) -> EvalReport:
     if not keep.any():
         raise EmptyInputError("no pixels with positive ground truth")
     dstar = dstar[keep]
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = s * d[keep] + t
-    if not np.isfinite(d).all():
-        raise InvalidMapError("aligned prediction is not finite at a counted pixel")
     # a nonpositive d fails; the ratios it makes are masked out
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = s * d[keep] + t
+        absrel = float(np.mean(np.abs(d - dstar) / dstar))
         within = (d > 0) & (np.maximum(d / dstar, dstar / d) < 1.25)
+    # a non-finite d makes absrel non-finite; its percentage must be finite too
+    if not math.isfinite(100 * absrel):
+        raise InvalidMapError("AbsRel out of float range: the aligned prediction "
+                              "is too large or not finite at a counted pixel")
     return EvalReport(
-        absrel=float(np.mean(np.abs(d - dstar) / dstar)),
+        absrel=absrel,
         delta1=float(np.mean(within)),
         scale=s, shift=t,
         pixels=int(d.size),

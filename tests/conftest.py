@@ -28,6 +28,17 @@ def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
     return DepthMap(prv, mask), DepthMap(gtv, mask)
 
 
+def near_median_pair():
+    """A 5x5 random pair whose first pred pixel more than 0.5 from the
+    pred median sits 5e-4 above it: farther from the global context's
+    median kink than loss.TIE_MARGIN, but within a 1e-3 bump of it."""
+    pred, gt = random_pair(np.random.default_rng(3), 5, 5)
+    values = pred.values.copy()
+    median = np.median(values)
+    values.flat[np.flatnonzero(np.abs(values - median) > 0.5)[0]] = median + 5e-4
+    return DepthMap(values, pred.valid), gt
+
+
 def small_fixture(**kw):
     """A 16x16 scene with a ridged foreground in front of a constant
     background, the standard fixture's layout at a quarter of its size."""

@@ -169,7 +169,7 @@ def test_criterion_5_gradient_checks():
             pred, gt = random_pair(rng, 5, 5, mask_prob=0.1)
             cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
             analytic = hdn_loss(pred, gt, cfg, with_gradient=True).gradient
-            numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
+            numeric = numerical_gradient(pred, gt, cfg)
             keep = ~np.isnan(numeric)
             if not keep.any():
                 continue

@@ -12,7 +12,7 @@ PUBLIC = [
     "fit_depth", "generate_scene", "global_context", "hdn_loss",
     "l1_plus_hdn", "loss_config", "numerical_gradient", "partition_dump",
     "read_csv_map", "read_mask", "read_pfm", "scatter_sample",
-    "standard_fixture", "tie_mask", "write_mask", "write_pfm",
+    "standard_fixture", "write_mask", "write_pfm",
 ]
 
 

@@ -12,6 +12,8 @@ from hdnorm import DepthMap, cli, read_pfm, write_mask, write_pfm
 from hdnorm.cli import main
 from hdnorm.errors import FormatError, ParameterError, ShapeMismatchError
 
+from conftest import near_median_pair
+
 
 @pytest.fixture
 def fixture_files(tmp_path):
@@ -96,18 +98,18 @@ def test_loss_oversized_dimensions_exit2(capsys, fixture_files, tmp_path, fmt, b
     assert f"truncated {fmt} payload" in err
 
 
-@pytest.mark.parametrize("option,value", [
-    ("--step", "0"), ("--step", "-1"), ("--step", "nan"), ("--step", "inf"),
-    ("--tolerance", "0"), ("--tolerance", "-1"), ("--tolerance", "nan"),
-    ("--tolerance", "inf")])
-def test_grad_check_bad_option_exit2(capsys, fixture_files, monkeypatch,
-                                     option, value):
-    # rejected by name before any loss is evaluated
+@pytest.mark.parametrize("option,value", [("--step", "1e-5"),
+                                          ("--tolerance", "1e-4")])
+def test_grad_check_has_no_step_or_tolerance_option(capsys, fixture_files,
+                                                    monkeypatch, option, value):
+    # the step and the threshold are fixed (loss.GRAD_STEP and
+    # loss.GRAD_TOLERANCE): argparse rejects either option, even at its old
+    # default, before any loss is evaluated
     monkeypatch.setattr(cli.loss_mod, "hdn_loss", None)
     pp, gp, _ = fixture_files
     rc, out, err = run(capsys, "grad-check", pp, gp, option, value)
     assert (rc, out) == (2, "")
-    assert err == f"error: {option} must be finite and > 0, got {float(value)}\n"
+    assert f"unrecognized arguments: {option} {value}" in err
 
 
 def test_grad_check_random_fixture_passes(capsys, tmp_path):
@@ -124,8 +126,88 @@ def test_grad_check_random_fixture_passes(capsys, tmp_path):
     assert "result: pass" in out
 
 
+def test_grad_check_near_median_pair_passes(capsys, tmp_path):
+    # a pixel 5e-4 above the median: every pixel is checked at the fixed
+    # step, which stays below that distance
+    pred, gt = near_median_pair()
+    write_pfm(gt, tmp_path / "g.pfm")
+    write_pfm(pred, tmp_path / "p.pfm")
+    rc, out, _ = run(capsys, "grad-check", str(tmp_path / "p.pfm"),
+                     str(tmp_path / "g.pfm"), "--kind", "ssi")
+    assert rc == 0
+    assert "checked_pixels: 25\n" in out and out.endswith("result: pass\n")
+
+
+def _write_csv_pair(tmp_path, pred, gt):
+    paths = [str(tmp_path / "pred.csv"), str(tmp_path / "gt.csv")]
+    for path, values in zip(paths, (pred, gt)):
+        np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    return paths
+
+
+def test_grad_check_pred_too_small_exit2(capsys, tmp_path):
+    # at 1e-315 the loss has a value but 1 / MAD overflows: the gradient
+    # is an input error, not a nan gradient_norm
+    gt = np.random.default_rng(0).uniform(1, 10, (6, 6))
+    paths = _write_csv_pair(tmp_path, gt * 1e-315, gt)
+    assert run(capsys, "loss", *paths, "--kind", "hdn_s", "--levels", "1,2")[0] == 0
+    rc, out, err = run(capsys, "grad-check", *paths, "--kind", "hdn_s",
+                       "--levels", "1,2")
+    assert (rc, out) == (2, "")
+    assert err == ("error: pred values too small to differentiate: 1 / the "
+                   "MAD of a context overflows\n")
+
+
+@pytest.mark.parametrize("pred_scale,gt_scale,flags,message", [
+    # the alignment scale, about 1e315, is past the float range
+    (1e-315, 1.0, (), "pred and gt too far apart in scale to align"),
+    # the normal-equation sums overflow
+    (1.0, 1e306, (), "pred and gt too far apart in scale to align"),
+    # AbsRel is finite, but not as a percentage
+    (1e307, 1.0, ("--no-align",), "AbsRel out of float range"),
+])
+def test_eval_out_of_float_range_exit2(capsys, tmp_path, pred_scale, gt_scale,
+                                       flags, message):
+    gt = np.random.default_rng(0).uniform(1, 10, (4, 4))
+    pred = np.full_like(gt, 1.0) if "--no-align" in flags else gt
+    paths = _write_csv_pair(tmp_path, pred * pred_scale, gt * gt_scale)
+    rc, out, err = run(capsys, "eval", *paths, *flags)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_float_range_sweep(capsys, tmp_path):
+    # pred and gt from the float's subnormal range to near its limit: every
+    # run exits 0 with finite numbers, 2 with one error line, or 1 for a
+    # failed gradient check; no exception or RuntimeWarning escapes
+    rng = np.random.default_rng(0)
+    gt = rng.uniform(1, 10, (6, 6))
+    pred = gt + 0.1 * rng.standard_normal((6, 6))
+    scales = (1e-315, 2.0**-1000, 1.0, 2.0**1000, 1e306)
+    commands = [("loss", "--kind", "ssi"),
+                ("loss", "--kind", "hdn_s", "--levels", "1,2"),
+                ("loss", "--kind", "hdn_dp", "--levels", "1,2", "--lambda", "1.0"),
+                ("eval",), ("eval", "--no-align"),
+                ("grad-check", "--kind", "hdn_s", "--levels", "1,2")]
+    exits = []
+    for pred_scale in scales:
+        for gt_scale in scales:
+            paths = _write_csv_pair(tmp_path, pred * pred_scale, gt * gt_scale)
+            for command, *flags in commands:
+                rc, out, err = run(capsys, command, *paths, *flags)
+                if rc == 0:
+                    assert "nan" not in out and "inf" not in out
+                elif rc == 2:
+                    assert out == "" and err.startswith("error: ")
+                    assert err.count("\n") == 1
+                else:
+                    assert (command, rc) == ("grad-check", 1)
+                exits.append(rc)
+    assert len(exits) == 150 and {0, 1, 2} <= set(exits)
+
+
 def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
-    # a constant pred has MAD 0, so tie_mask flags its one context: no pixel
+    # a constant pred has MAD 0, so _tie_mask flags its one context: no pixel
     # is checked, and the report still prints every line and fails
     write_pfm(DepthMap(np.full((3, 3), 5.0)), tmp_path / "p.pfm")
     write_pfm(DepthMap(np.arange(9.0).reshape(3, 3) + 1), tmp_path / "g.pfm")
@@ -138,7 +220,7 @@ def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
 
 def test_grad_check_skips_pixels_outside_surviving_contexts(capsys, tmp_path):
     # hdn_dr at S = 4 on the synth pair keeps only the foreground context,
-    # which tie_mask flags; the 3,072 background pixels (gt MAD 0) are in
+    # which _tie_mask flags; the 3,072 background pixels (gt MAD 0) are in
     # no surviving context, so none is checked and the check fails
     gp, pp = str(tmp_path / "gt.pfm"), str(tmp_path / "pred.pfm")
     assert run(capsys, "synth", "--out", gp)[0] == 0
@@ -412,7 +494,6 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         ["loss", pp, gp, "--kind", "hdn_s", "--levels", "x"],
         ["loss", pp, gp, "--kind", "hdn_s", "--levels", "1,1"],
         ["loss", pp, gp, "--lambda", "-1"],
-        ["grad-check", pp, gp, "--step", "0"],
         ["partition", gp, "--s", "0"],
         ["eval", str(tmp / "const.pfm"), gp],
         ["scatter", pp, gp, "--n", "-5"],
@@ -503,9 +584,7 @@ def test_loss_pred_too_large_exit2(capsys, tmp_path, flags):
     gt = hdnorm.generate_scene(hdnorm.standard_fixture()).values
     pred = gt + 0.1 * np.random.default_rng(0).standard_normal(gt.shape)
     pred *= 1e306 / np.abs(pred).max()
-    paths = [str(tmp_path / "pred.csv"), str(tmp_path / "gt.csv")]
-    for path, values in zip(paths, (pred, gt)):
-        np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    paths = _write_csv_pair(tmp_path, pred, gt)
     rc, out, err = run(capsys, "loss", *paths, *flags)
     assert rc == 2 and "value:" not in out and "Traceback" not in err
     assert err.splitlines() == ["error: pred values too large to normalize: "

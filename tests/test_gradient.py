@@ -15,13 +15,12 @@ from hdnorm import (
     numerical_gradient,
     read_pfm,
     standard_fixture,
-    tie_mask,
     write_pfm,
 )
 from hdnorm import loss
 from hdnorm.errors import InvalidMapError
 
-from conftest import README_CONFIGS, random_pair
+from conftest import README_CONFIGS, near_median_pair, random_pair
 
 KIND_SIZES = [
     ("spatial", (1,)),  # SSI special case
@@ -47,12 +46,26 @@ def test_gradient_matches_finite_differences(rng, kind, sizes):
         pred, gt = random_pair(rng, 5, 5, mask_prob=0.1)
         cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
         analytic = analytic_gradient(pred, gt, cfg)
-        numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
+        numeric = numerical_gradient(pred, gt, cfg)
         keep = ~np.isnan(numeric)
         if keep.any():
             assert rel_error(analytic, numeric)[keep].max() < 1e-4
             checked += int(keep.sum())
     assert checked > 50
+
+
+def test_numerical_gradient_near_a_median(monkeypatch):
+    # a pixel 5e-4 from its context's median kink: the fixed step checks
+    # every pixel and agrees with the analytical gradient, while a step
+    # past that distance straddles the kink and would not
+    pred, gt = near_median_pair()
+    cfg = loss_config(gt, "ssi", (1,))
+    analytic = analytic_gradient(pred, gt, cfg)
+    numeric = numerical_gradient(pred, gt, cfg)
+    assert not np.isnan(numeric).any()
+    assert rel_error(analytic, numeric).max() < loss.GRAD_TOLERANCE
+    monkeypatch.setattr(loss, "GRAD_STEP", 1e-3)
+    assert rel_error(analytic, numerical_gradient(pred, gt, cfg)).max() > 0.1
 
 
 def _count_loss_calls(monkeypatch, value_at=None):
@@ -73,7 +86,7 @@ def _count_loss_calls(monkeypatch, value_at=None):
 
 
 def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
-    # NaN exactly outside joint & used & ~tie_mask, two loss calls per
+    # NaN exactly outside joint & used & ~_tie_mask, two loss calls per
     # other pixel. The last gt is constant over its right half, a
     # depth_range context the filter drops: joint-valid, never checked.
     calls = _count_loss_calls(monkeypatch)
@@ -85,11 +98,11 @@ def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
     for (pred, gt), kind, sizes in cases:
         cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
         start = len(calls)
-        numeric = numerical_gradient(pred, gt, cfg, step=1e-5)
+        numeric = numerical_gradient(pred, gt, cfg)
         joint = pred.valid & gt.valid
         used = np.zeros(joint.size, dtype=bool)
         used[loss._plan_for(cfg, gt, joint).used] = True
-        checked = joint & used.reshape(joint.shape) & ~tie_mask(pred, gt, cfg)
+        checked = joint & used.reshape(joint.shape) & ~loss._tie_mask(pred, gt, cfg)
         assert np.array_equal(~np.isnan(numeric), checked)
         assert len(calls) - start == 2 * checked.sum()
     assert (joint.sum(), checked.sum()) == (24, 12)
@@ -99,7 +112,7 @@ def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
     ids=["ssi", "hdn_s:1,2,4,8", "hdn_dp:1,2,4", "hdn_dr:1,2,4", "hdn_dr:4"])
 def test_numerical_gradient_cost_on_readme_pair(tmp_path, monkeypatch, kind, levels):
     # the README's A/B configs, the synth gt against synth --noise-sigma
-    # 0.1: tie_mask flags every surviving context, so no pixel is checked
+    # 0.1: _tie_mask flags every surviving context, so no pixel is checked
     # and no loss is evaluated (two per joint-valid pixel, 8,192, before
     # numerical_gradient skipped unchecked pixels)
     spec = standard_fixture()
@@ -182,7 +195,7 @@ def test_l1_plus_hdn_gradient(rng):
             vals[r, c] -= 2 * step
             dn = l1_plus_hdn(DepthMap(vals, pred.valid), gt, cfg, lam).value
             numeric[r, c] = (up - dn) / (2 * step)
-    keep = ~tie_mask(pred, gt, cfg)
+    keep = ~loss._tie_mask(pred, gt, cfg)
     # also avoid L1 kinks where pred is within the step of gt
     keep &= np.abs(pred.values - gt.values) > 1e-4
     assert keep.any()

@@ -123,7 +123,7 @@ def test_tie_mask_flags_a_context_of_pred_mad_zero():
     gt = DepthMap(np.array([[1.0, 2.0, 4.0, 7.0, 5.0, 6.0, 9.0, 10.0]]))
     pred = DepthMap(np.array([[3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 6.0, 20.0]]))
     cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (2,))))
-    assert loss.tie_mask(pred, gt, cfg).tolist() == [[True] * 4 + [False] * 4]
+    assert loss._tie_mask(pred, gt, cfg).tolist() == [[True] * 4 + [False] * 4]
 
 
 def test_loss_on_unpickled_gt_matches_original(rng):
@@ -425,7 +425,7 @@ def _blocked_results(pred, gt, hier):
     the block cap in force when the call is made."""
     cfg = LossConfig(hier)
     report = hdn_loss(pred, gt, cfg, with_gradient=True)
-    return (report, hdn_loss(pred, gt, cfg), loss.tie_mask(pred, gt, cfg),
+    return (report, hdn_loss(pred, gt, cfg), loss._tie_mask(pred, gt, cfg),
             cfg._memo[2].blocks)
 
 
@@ -719,7 +719,7 @@ def test_pred_too_large_to_normalize_raises(kind, sizes):
         warnings.simplefilter("error")
         for call in (lambda: hdn_loss(pred, gt, cfg),
                      lambda: hdn_loss(pred, gt, cfg, with_gradient=True),
-                     lambda: loss.tie_mask(pred, gt, cfg),
+                     lambda: loss._tie_mask(pred, gt, cfg),
                      lambda: l1_plus_hdn(pred, gt, cfg, 1.0)):
             with pytest.raises(InvalidMapError, match="pred values too large"):
                 call()
@@ -740,3 +740,40 @@ def test_l1_mean_too_large_raises():
         assert np.isfinite(hdn_loss(pred, gt, cfg).value)
         with pytest.raises(InvalidMapError, match="L1 mean overflows"):
             l1_plus_hdn(pred, gt, cfg, 1.0)
+
+
+def test_gradient_of_a_context_with_a_huge_mad():
+    # one pred pixel at 1e306 makes every context it is in have a MAD
+    # near 1e305, so 1 / (MAD * used pixels) would overflow. Its 2x2
+    # spatial-32 cell's neighbours take their whole gradient from such
+    # contexts, and must match the oracle, which never forms that product
+    _, gt = _near_float_limit(1.0)
+    values = gt.values + 0.1 * np.random.default_rng(0).standard_normal(gt.values.shape)
+    values[20, 21] = 1e306
+    pred = DepthMap(values)
+    sizes = (1, 2, 4, 8, 16, 32)
+    got = hdn_loss(pred, gt, loss_config(gt, "hdn_s", sizes), with_gradient=True)
+    assert got.value == 0.580270317073027
+    want = np.array(ref_hdn_gradient(values.tolist(), gt.values.tolist(),
+                                     pred.valid.tolist(), gt.valid.tolist(),
+                                     64, 64, "spatial", sizes))
+    cell = ([20, 21, 21], [20, 20, 21])
+    assert np.abs(want[cell]).min() > 1e-307
+    assert np.allclose(got.gradient[cell], want[cell], rtol=1e-12, atol=0)
+    assert np.abs(got.gradient - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_pred_too_small_to_differentiate_raises():
+    # at 1e-315 (subnormal) a pred MAD's reciprocal overflows: the value
+    # is still defined, the gradient is not
+    _, gt = _near_float_limit(1.0)
+    values = gt.values + 0.1 * np.random.default_rng(0).standard_normal(gt.values.shape)
+    pred = DepthMap(values * 1e-315)
+    cfg = loss_config(gt, "hdn_s", (1, 2, 4, 8, 16, 32))
+    assert np.isfinite(hdn_loss(pred, gt, cfg).value)
+    assert loss._tie_mask(pred, gt, cfg).all()  # every deviation is tiny
+    for call in (lambda: hdn_loss(pred, gt, cfg, with_gradient=True),
+                 lambda: l1_plus_hdn(pred, gt, cfg, 1.0, with_gradient=True)):
+        with pytest.raises(InvalidMapError, match="pred values too small to "
+                                                  "differentiate"):
+            call()
