@@ -47,9 +47,10 @@ overwrites the residuals and deviations with its weights and signs. At
 beyond its inputs.
 
 Gradients treat the median's sort selection and every sign() as
-locally constant; the loss is piecewise smooth and tests skip tie
-neighborhoods. Among tied pred values the lower linear index ranks
-first, and the median derivative follows that rank.
+locally constant; the loss is piecewise smooth, and numerical_gradient
+skips a pixel whose forward and backward differences show a kink within
+the step. Among tied pred values the lower linear index ranks first, and
+the median derivative follows that rank.
 """
 
 from __future__ import annotations
@@ -64,11 +65,10 @@ from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
 EPS = 1e-6
-# how close to a median/sign tie _tie_mask flags a context
-TIE_MARGIN = 1e-4
-# numerical_gradient's step stays below TIE_MARGIN, so no bump crosses a kink
-GRAD_STEP = 1e-5
-GRAD_TOLERANCE = 1e-4  # a gradient check's bound on the relative error
+GRAD_STEP = 1e-5  # numerical_gradient's bump
+# a gradient check's bound on the relative error; numerical_gradient also
+# skips a pixel whose forward and backward differences disagree by more
+GRAD_TOLERANCE = 1e-4
 # a hierarchy of at most this many members is one block, else one per level:
 # stacked 4k-member levels (64x64) ran 25% faster, 73k-member ones 10% slower
 BLOCK_MEMBERS = 2**16
@@ -233,9 +233,9 @@ def _middle_ranks(lv: _Level, order: np.ndarray):
 
 
 def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
-    """(lo, hi, dev, mad, s, res) of one block: the middle-rank pixels
-    of each context, its MAD and divisor s (1 where the MAD is 0), and
-    per member the deviation from the median and the normalized residual."""
+    """(lo, hi, dev, s, res) of one block: the middle-rank pixels of each
+    context, its MAD divisor s (1 where the MAD is 0), and per member the
+    deviation from the median and the normalized residual."""
     lo, hi = map(np.concatenate,
                  zip(*(_middle_ranks(lv, order) for lv in block.levels)))
     # equals np.median's (a + b) / 2 and cannot overflow when a == b
@@ -252,7 +252,7 @@ def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
     res = np.repeat(s, block.sizes)
     np.divide(dev, res, out=res)
     res -= block.ng
-    return lo, hi, dev, mad, s, res
+    return lo, hi, dev, s, res
 
 
 def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
@@ -282,7 +282,7 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
                gradient: Optional[np.ndarray], used: int) -> list:
     """(tag, mean |residual|, sum of share * |residual|) of each level
     of one block; adds the block's gradient terms when gradient is set."""
-    lo, hi, dev, _, s, res = _block_pass(block, pf, order)
+    lo, hi, dev, s, res = _block_pass(block, pf, order)
     absres = np.abs(res)
     means = [float(absres[lv.start:lv.stop].sum()) / (lv.stop - lv.start)
              if lv.stop > lv.start else 0.0 for lv in block.levels]
@@ -354,48 +354,31 @@ def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
 # Finite-difference checking support
 
 def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
-    """Central differences of hdn_loss (step GRAD_STEP) at the pixels a
-    gradient check compares: joint-valid, in a surviving context and not
-    in _tie_mask; NaN elsewhere. A non-finite one raises InvalidMapError."""
-    used = np.zeros(pred.values.size, dtype=bool)
-    used[_plan_for(cfg, gt, joint_valid(pred, gt)).used] = True
-    checked = used.reshape(pred.values.shape) & ~_tie_mask(pred, gt, cfg)
+    """Central differences of hdn_loss at the pixels a gradient check
+    compares, NaN elsewhere. Each pixel in a surviving context is bumped
+    by +-GRAD_STEP, and each side divides by the step it actually took.
+    A pixel is skipped where a step is 0 (below pred's float spacing) or
+    where the forward and backward differences disagree by more than
+    GRAD_TOLERANCE relative: a kink within the step. A non-finite loss
+    difference raises InvalidMapError."""
+    used = _plan_for(cfg, gt, joint_valid(pred, gt)).used
     base = np.array(pred.values)
-    grad = np.full(base.shape, np.nan)
-    for r, c in zip(*np.nonzero(checked)):
-        bumped = np.array(base)
-        bumped[r, c] += GRAD_STEP
-        up = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
-        bumped[r, c] = base[r, c] - GRAD_STEP
-        down = hdn_loss(DepthMap(bumped, pred.valid), gt, cfg).value
-        grad[r, c] = (up - down) / (2 * GRAD_STEP)
-        if not np.isfinite(grad[r, c]):
-            raise InvalidMapError(f"non-finite loss difference at pixel ({r}, {c})")
+    flat, grad = base.reshape(-1), np.full(base.shape, np.nan)
+    value = hdn_loss(pred, gt, cfg).value
+    for i in used.tolist():
+        x, sides = flat[i], []
+        for bumped in (x + GRAD_STEP, x - GRAD_STEP):
+            flat[i] = bumped
+            diff = hdn_loss(DepthMap(base, pred.valid), gt, cfg).value - value
+            if not np.isfinite(diff):
+                r, c = divmod(i, base.shape[1])
+                raise InvalidMapError(f"non-finite loss difference at pixel ({r}, {c})")
+            sides.append((diff, bumped - x))  # exact when |x| >= GRAD_STEP
+        flat[i] = x
+        (up, hu), (down, hd) = sides  # hd < 0
+        if hu == 0 or hd == 0:
+            continue
+        fwd, bwd = up / hu, down / hd
+        if abs(fwd - bwd) <= GRAD_TOLERANCE * max(abs(fwd), abs(bwd), 1e-6):
+            grad.flat[i] = (up - down) / (hu - hd)
     return grad
-
-
-def _tie_mask(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
-    """Pixels numerical_gradient skips: near a median/sign tie, where a
-    GRAD_STEP bump straddles a kink of the piecewise-smooth loss, or in a
-    context of pred MAD 0. Conservative: a context with any member within
-    TIE_MARGIN of a tie is flagged whole. Reads the gradient's pred order."""
-    plan = _plan_for(cfg, gt, joint_valid(pred, gt))
-    pf = pred.values.ravel()
-    order = _pred_order(plan, pf)
-    tied = np.zeros(pf.size, dtype=bool)
-    for block in plan.blocks:
-        lo, hi, dev, mad, s, res = _block_pass(block, pf, order)
-        d = pf[block.pix]
-        absdev = np.abs(dev)
-        # sign(dev) flips; the middle's own dev is identically zero
-        near = (absdev > 0) & (absdev < TIE_MARGIN)
-        # order crossings that reselect the median
-        for mid in (lo, hi):
-            dist = np.abs(d - np.repeat(pf[mid], block.sizes))
-            near |= (dist > 0) & (dist < TIE_MARGIN)
-        # residual sign flips, scaled by the normalization slope 1 / s
-        near |= np.abs(res) * np.repeat(np.minimum(1.0, s), block.sizes) < TIE_MARGIN
-        flag = np.logical_or.reduceat(near, block.offsets)
-        flag |= mad == 0  # divisor switch
-        tied[block.pix[np.repeat(flag, block.sizes)]] = True
-    return tied.reshape(pred.values.shape)

@@ -31,7 +31,8 @@ def random_pair(rng, H, W, mask_prob=0.0, lo=1.0, hi=10.0):
 def near_median_pair():
     """A 5x5 random pair whose first pred pixel more than 0.5 from the
     pred median sits 5e-4 above it: farther from the global context's
-    median kink than loss.TIE_MARGIN, but within a 1e-3 bump of it."""
+    median kink than a loss.GRAD_STEP bump reaches, but within a 1e-3
+    bump of it."""
     pred, gt = random_pair(np.random.default_rng(3), 5, 5)
     values = pred.values.copy()
     median = np.median(values)

@@ -157,7 +157,8 @@ def test_criterion_4_partition_correctness():
 
 def test_criterion_5_gradient_checks():
     """Analytical vs central finite differences (step 1e-5): max rel
-    error < 1e-4 off tie neighborhoods, >= 20 instances per kind (< 60 s)."""
+    error < 1e-4 at every pixel whose forward and backward differences
+    agree (no kink within the step), >= 20 instances per kind (< 60 s)."""
     t0 = time.monotonic()
     rng = np.random.default_rng(1005)
     worst = 0.0

@@ -145,6 +145,53 @@ def _write_csv_pair(tmp_path, pred, gt):
     return paths
 
 
+def _sweep_pair():
+    """A 6x6 (pred, gt) pair: gt uniform in [1, 10), pred gt plus noise."""
+    rng = np.random.default_rng(0)
+    gt = rng.uniform(1, 10, (6, 6))
+    return gt + 0.1 * rng.standard_normal((6, 6)), gt
+
+
+def test_grad_check_fails_where_the_step_is_below_pred_spacing(capsys, tmp_path):
+    # at pred x 2^1000 a 1e-5 bump leaves pred unchanged, and the analytical
+    # gradient (~1e-302) is under the relative error's 1e-6 floor, so a
+    # difference of 0 would pass; numerical_gradient skips such pixels
+    pred, gt = _sweep_pair()
+    flags = ("--kind", "hdn_s", "--levels", "1,2")
+    rc, out, _ = run(capsys, "grad-check", *_write_csv_pair(tmp_path, pred, gt), *flags)
+    assert rc == 0
+    assert "checked_pixels: 36\n" in out and out.endswith("result: pass\n")
+    paths = _write_csv_pair(tmp_path, pred * 2.0**1000, gt)
+    rc, out, _ = run(capsys, "grad-check", *paths, *flags)
+    assert rc == 1
+    assert out == ("gradient_norm: 4.5753565285e-302\nchecked_pixels: 0\n"
+                   "max_rel_error: nan\nresult: fail\n")
+
+
+def _without_median_term(real):
+    """_add_block_gradient with each context's median term sent to a
+    spare slot past the gradient, so it never reaches a pixel."""
+    def patched(gradient, block, lo, hi, *rest):
+        spill = np.zeros(gradient.size + 1)
+        sink = np.full(lo.shape, gradient.size)
+        real(spill, block, sink, sink, *rest)
+        gradient += spill[:-1]
+    return patched
+
+
+@pytest.mark.parametrize("flags", [("--kind", "ssi"),
+                                   ("--kind", "hdn_s", "--levels", "1,2")])
+def test_grad_check_fails_a_gradient_without_its_median_term(capsys, tmp_path,
+                                                             monkeypatch, flags):
+    paths = _write_csv_pair(tmp_path, *_sweep_pair())
+    assert run(capsys, "grad-check", *paths, *flags)[0] == 0
+    monkeypatch.setattr(cli.loss_mod, "_add_block_gradient",
+                        _without_median_term(cli.loss_mod._add_block_gradient))
+    rc, out, _ = run(capsys, "grad-check", *paths, *flags)
+    assert rc == 1
+    assert "checked_pixels: 36\n" in out and out.endswith("result: fail\n")
+
+
 def test_grad_check_pred_too_small_exit2(capsys, tmp_path):
     # at 1e-315 the loss has a value but 1 / MAD overflows: the gradient
     # is an input error, not a nan gradient_norm
@@ -180,9 +227,7 @@ def test_float_range_sweep(capsys, tmp_path):
     # pred and gt from the float's subnormal range to near its limit: every
     # run exits 0 with finite numbers, 2 with one error line, or 1 for a
     # failed gradient check; no exception or RuntimeWarning escapes
-    rng = np.random.default_rng(0)
-    gt = rng.uniform(1, 10, (6, 6))
-    pred = gt + 0.1 * rng.standard_normal((6, 6))
+    pred, gt = _sweep_pair()
     scales = (1e-315, 2.0**-1000, 1.0, 2.0**1000, 1e306)
     commands = [("loss", "--kind", "ssi"),
                 ("loss", "--kind", "hdn_s", "--levels", "1,2"),
@@ -207,8 +252,10 @@ def test_float_range_sweep(capsys, tmp_path):
 
 
 def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
-    # a constant pred has MAD 0, so _tie_mask flags its one context: no pixel
-    # is checked, and the report still prints every line and fails
+    # a constant pred has MAD 0, so any bump switches its one context's
+    # divisor from 1 to the MAD: the forward and backward differences
+    # disagree at every pixel, none is checked, and the report still
+    # prints every line and fails
     write_pfm(DepthMap(np.full((3, 3), 5.0)), tmp_path / "p.pfm")
     write_pfm(DepthMap(np.arange(9.0).reshape(3, 3) + 1), tmp_path / "g.pfm")
     rc, out, _ = run(capsys, "grad-check", str(tmp_path / "p.pfm"),
@@ -218,18 +265,46 @@ def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
                    "max_rel_error: nan\nresult: fail\n")
 
 
-def test_grad_check_skips_pixels_outside_surviving_contexts(capsys, tmp_path):
-    # hdn_dr at S = 4 on the synth pair keeps only the foreground context,
-    # which _tie_mask flags; the 3,072 background pixels (gt MAD 0) are in
-    # no surviving context, so none is checked and the check fails
+def _synth_pair(capsys, tmp_path):
+    """Paths of the README's A/B pair: synth --noise-sigma 0.1 as pred,
+    synth as gt."""
     gp, pp = str(tmp_path / "gt.pfm"), str(tmp_path / "pred.pfm")
     assert run(capsys, "synth", "--out", gp)[0] == 0
     assert run(capsys, "synth", "--noise-sigma", "0.1", "--out", pp)[0] == 0
-    rc, out, _ = run(capsys, "grad-check", pp, gp, "--kind", "hdn_dr",
-                     "--levels", "4")
-    assert rc == 1
-    assert out == ("gradient_norm: 6.55891143371\nchecked_pixels: 0\n"
-                   "max_rel_error: nan\nresult: fail\n")
+    return pp, gp
+
+
+def test_grad_check_skips_pixels_outside_surviving_contexts(capsys, tmp_path):
+    # hdn_dr at S = 4 on the synth pair keeps only the 1,024-pixel
+    # foreground context; the 3,072 background pixels (gt MAD 0) are in
+    # no surviving context, so none is counted
+    rc, out, _ = run(capsys, "grad-check", *_synth_pair(capsys, tmp_path),
+                     "--kind", "hdn_dr", "--levels", "4")
+    assert rc == 0
+    assert out == ("gradient_norm: 6.55891143371\nchecked_pixels: 1022\n"
+                   "max_rel_error: 6.18539e-10\nresult: pass\n")
+
+
+def _scaled_by(real, factor):
+    """_add_block_gradient with every term it adds scaled by factor."""
+    def patched(gradient, *args):
+        terms = np.zeros_like(gradient)
+        real(terms, *args)
+        gradient += factor * terms
+    return patched
+
+
+def test_grad_check_fails_a_gradient_one_percent_off(capsys, tmp_path, monkeypatch):
+    # on the README pair the check compares over a thousand pixels, so a
+    # gradient 1% off fails it; unpatched, the same run passes (above)
+    paths = _synth_pair(capsys, tmp_path)
+    flags = ("--kind", "hdn_dr", "--levels", "4")
+    monkeypatch.setattr(cli.loss_mod, "_add_block_gradient",
+                        _scaled_by(cli.loss_mod._add_block_gradient, 1.01))
+    rc, out, _ = run(capsys, "grad-check", *paths, *flags)
+    assert rc == 1 and out.endswith("result: fail\n")
+    checked = int(out.split("checked_pixels: ")[1].split("\n")[0])
+    assert checked > 1000
 
 
 def test_partition_golden_dump(capsys, fixture_files):

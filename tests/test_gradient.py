@@ -56,8 +56,10 @@ def test_gradient_matches_finite_differences(rng, kind, sizes):
 
 def test_numerical_gradient_near_a_median(monkeypatch):
     # a pixel 5e-4 from its context's median kink: the fixed step checks
-    # every pixel and agrees with the analytical gradient, while a step
-    # past that distance straddles the kink and would not
+    # every pixel and agrees with the analytical gradient. A step past
+    # that distance straddles the kink at the planted pixel and at the
+    # median's own: their forward and backward differences disagree, so
+    # both are skipped, and every other pixel still agrees
     pred, gt = near_median_pair()
     cfg = loss_config(gt, "ssi", (1,))
     analytic = analytic_gradient(pred, gt, cfg)
@@ -65,7 +67,11 @@ def test_numerical_gradient_near_a_median(monkeypatch):
     assert not np.isnan(numeric).any()
     assert rel_error(analytic, numeric).max() < loss.GRAD_TOLERANCE
     monkeypatch.setattr(loss, "GRAD_STEP", 1e-3)
-    assert rel_error(analytic, numerical_gradient(pred, gt, cfg)).max() > 0.1
+    numeric = numerical_gradient(pred, gt, cfg)
+    straddled = np.abs(pred.values - np.median(pred.values)) < 1e-3
+    assert straddled.sum() == 2
+    assert np.array_equal(np.isnan(numeric), straddled)
+    assert rel_error(analytic, numeric)[~straddled].max() < loss.GRAD_TOLERANCE
 
 
 def _count_loss_calls(monkeypatch, value_at=None):
@@ -85,10 +91,23 @@ def _count_loss_calls(monkeypatch, value_at=None):
     return calls
 
 
+def _differences_agree(pred, gt, cfg, i):
+    """Whether the forward and backward differences of hdn_loss at flat
+    pixel i agree within GRAD_TOLERANCE relative."""
+    values, h = pred.values.copy(), loss.GRAD_STEP
+    at = [hdn_loss(pred, gt, cfg).value]
+    for x in (pred.values.flat[i] + h, pred.values.flat[i] - h):
+        values.flat[i] = x
+        at.append(hdn_loss(DepthMap(values, pred.valid), gt, cfg).value)
+    fwd, bwd = (at[1] - at[0]) / h, (at[0] - at[2]) / h
+    return abs(fwd - bwd) <= loss.GRAD_TOLERANCE * max(abs(fwd), abs(bwd), 1e-6)
+
+
 def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
-    # NaN exactly outside joint & used & ~_tie_mask, two loss calls per
-    # other pixel. The last gt is constant over its right half, a
-    # depth_range context the filter drops: joint-valid, never checked.
+    # NaN exactly outside joint & used & agreeing differences, one loss
+    # call for the base value and two per used pixel. The last gt is
+    # constant over its right half, a depth_range context the filter
+    # drops: joint-valid, never differenced.
     calls = _count_loss_calls(monkeypatch)
     cases = [(random_pair(rng, 5, 5, mask_prob=0.1), kind, sizes)
              for kind, sizes in KIND_SIZES for _ in range(8)]
@@ -102,34 +121,42 @@ def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
         joint = pred.valid & gt.valid
         used = np.zeros(joint.size, dtype=bool)
         used[loss._plan_for(cfg, gt, joint).used] = True
-        checked = joint & used.reshape(joint.shape) & ~loss._tie_mask(pred, gt, cfg)
+        assert len(calls) - start == 1 + 2 * used.sum()
+        agree = np.zeros(joint.size, dtype=bool)
+        agree[used] = [_differences_agree(pred, gt, cfg, i) for i in np.flatnonzero(used)]
+        checked = joint & used.reshape(joint.shape) & agree.reshape(joint.shape)
         assert np.array_equal(~np.isnan(numeric), checked)
-        assert len(calls) - start == 2 * checked.sum()
-    assert (joint.sum(), checked.sum()) == (24, 12)
+    assert (joint.sum(), used.sum(), checked.sum()) == (24, 12, 12)
 
 
 @pytest.mark.parametrize("kind,levels", README_CONFIGS,
     ids=["ssi", "hdn_s:1,2,4,8", "hdn_dp:1,2,4", "hdn_dr:1,2,4", "hdn_dr:4"])
 def test_numerical_gradient_cost_on_readme_pair(tmp_path, monkeypatch, kind, levels):
     # the README's A/B configs, the synth gt against synth --noise-sigma
-    # 0.1: _tie_mask flags every surviving context, so no pixel is checked
-    # and no loss is evaluated (two per joint-valid pixel, 8,192, before
-    # numerical_gradient skipped unchecked pixels)
+    # 0.1: one loss evaluation for the base value and two per used pixel.
+    # Almost every used pixel is checked and agrees with the analytical
+    # gradient (the 3,072 background pixels of hdn_dr{4} are in no
+    # surviving context, so not used)
     spec = standard_fixture()
     for name, scene in (("gt", spec), ("pred", dataclasses.replace(spec, noise_sigma=0.1))):
         write_pfm(generate_scene(scene), tmp_path / f"{name}.pfm")
     gt, pred = read_pfm(tmp_path / "gt.pfm"), read_pfm(tmp_path / "pred.pfm")
+    cfg = loss_config(gt, kind, levels)
     calls = _count_loss_calls(monkeypatch)
-    numeric = numerical_gradient(pred, gt, loss_config(gt, kind, levels))
-    assert len(calls) == 2 * np.count_nonzero(~np.isnan(numeric)) == 0
+    numeric = numerical_gradient(pred, gt, cfg)
+    assert len(calls) == 1 + 2 * cfg._memo[2].used.size
+    checked = ~np.isnan(numeric)
+    assert checked.sum() >= 1000
+    analytic = analytic_gradient(pred, gt, cfg)
+    assert rel_error(analytic, numeric)[checked].max() < loss.GRAD_TOLERANCE
 
 
-@pytest.mark.parametrize("call", [1, 2, 5])  # up and down bump, a later pixel
+@pytest.mark.parametrize("call", [1, 2, 5])  # base, first bump, a later pixel
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_numerical_gradient_raises_on_non_finite_difference(rng, monkeypatch,
                                                             call, value):
-    # a non-finite loss at one bump raises; it never becomes the NaN that
-    # marks an unchecked pixel
+    # a non-finite loss at the base or at a bump raises; it never becomes
+    # the NaN that marks an unchecked pixel
     pred, gt = random_pair(rng, 5, 5)
     cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (1, 2))))
     assert np.count_nonzero(~np.isnan(numerical_gradient(pred, gt, cfg))) >= 3
@@ -195,7 +222,7 @@ def test_l1_plus_hdn_gradient(rng):
             vals[r, c] -= 2 * step
             dn = l1_plus_hdn(DepthMap(vals, pred.valid), gt, cfg, lam).value
             numeric[r, c] = (up - dn) / (2 * step)
-    keep = ~loss._tie_mask(pred, gt, cfg)
+    keep = ~np.isnan(numerical_gradient(pred, gt, cfg))
     # also avoid L1 kinks where pred is within the step of gt
     keep &= np.abs(pred.values - gt.values) > 1e-4
     assert keep.any()

@@ -15,6 +15,7 @@ from hdnorm import (
     hdn_loss,
     l1_plus_hdn,
     loss_config,
+    numerical_gradient,
     standard_fixture,
 )
 from hdnorm import loss
@@ -116,14 +117,16 @@ def test_affine_invariance_at_every_scale():
                                       rel=1e-12)
 
 
-def test_tie_mask_flags_a_context_of_pred_mad_zero():
+def test_numerical_gradient_skips_a_context_of_pred_mad_zero():
     # pred is constant over the first context: no member is near a sign,
     # order or residual tie, but any bump switches its divisor from 1 to
-    # the MAD; the second context is far from every tie
+    # the MAD, so the forward and backward differences disagree; the
+    # second context is far from every kink
     gt = DepthMap(np.array([[1.0, 2.0, 4.0, 7.0, 5.0, 6.0, 9.0, 10.0]]))
     pred = DepthMap(np.array([[3.0, 3.0, 3.0, 3.0, 1.0, 2.0, 6.0, 20.0]]))
     cfg = LossConfig(build_hierarchy(gt, LevelSpec("spatial", (2,))))
-    assert loss._tie_mask(pred, gt, cfg).tolist() == [[True] * 4 + [False] * 4]
+    checked = ~np.isnan(numerical_gradient(pred, gt, cfg))
+    assert checked.tolist() == [[False] * 4 + [True] * 4]
 
 
 def test_loss_on_unpickled_gt_matches_original(rng):
@@ -421,12 +424,11 @@ def test_used_pixels_counts_joint_mask(rng):
 
 
 def _blocked_results(pred, gt, hier):
-    """(report with gradient, forward-only report, tie mask, blocks) under
-    the block cap in force when the call is made."""
+    """(report with gradient, forward-only report, blocks) under the block
+    cap in force when the call is made."""
     cfg = LossConfig(hier)
     report = hdn_loss(pred, gt, cfg, with_gradient=True)
-    return (report, hdn_loss(pred, gt, cfg), loss._tie_mask(pred, gt, cfg),
-            cfg._memo[2].blocks)
+    return report, hdn_loss(pred, gt, cfg), cfg._memo[2].blocks
 
 
 @pytest.mark.parametrize("kind,sizes", [
@@ -447,7 +449,7 @@ def test_blocked_pass_matches_level_by_level(rng, monkeypatch, kind, sizes):
             pred = DepthMap(np.round(4 * pred.values) / 4, pred.valid)
             gt = DepthMap(np.round(4 * gt.values) / 4, gt.valid)
         hier = build_hierarchy(gt, LevelSpec(kind, sizes))
-        want, want_fwd, want_tied, blocks = _blocked_results(pred, gt, hier)
+        want, want_fwd, blocks = _blocked_results(pred, gt, hier)
         assert len(blocks) == 1
         if 16 in sizes:
             empty = blocks[0].levels[sizes.index(16)]
@@ -456,13 +458,12 @@ def test_blocked_pass_matches_level_by_level(rng, monkeypatch, kind, sizes):
         for cap in (1, members - 1):
             with monkeypatch.context() as m:
                 m.setattr(loss, "BLOCK_MEMBERS", cap)
-                got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
+                got, got_fwd, blocks = _blocked_results(pred, gt, hier)
             assert len(blocks) == len(sizes)
             assert got.value == want.value and got_fwd.value == want_fwd.value
             assert got.per_level == want.per_level == want_fwd.per_level
             scale = np.abs(want.gradient).max()
             assert np.abs(got.gradient - want.gradient).max() <= 1e-15 * scale
-            assert np.array_equal(got_tied, want_tied)
 
 
 def test_hierarchy_over_the_cap_runs_one_block_per_level(monkeypatch):
@@ -472,17 +473,16 @@ def test_hierarchy_over_the_cap_runs_one_block_per_level(monkeypatch):
     gt = DepthMap(rng.uniform(1, 10, (128, 160)))
     pred = DepthMap(gt.values + rng.normal(0, 1, gt.values.shape))
     hier = build_hierarchy(gt, LevelSpec("spatial", (1, 2, 4, 8)))
-    got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
+    got, got_fwd, blocks = _blocked_results(pred, gt, hier)
     assert len(blocks) == 4
     with monkeypatch.context() as m:
         m.setattr(loss, "BLOCK_MEMBERS", 2**30)
-        want, want_fwd, want_tied, blocks = _blocked_results(pred, gt, hier)
+        want, want_fwd, blocks = _blocked_results(pred, gt, hier)
     assert len(blocks) == 1
     assert got.value == want.value and got_fwd.value == want_fwd.value
     assert got.per_level == want.per_level
     scale = np.abs(want.gradient).max()
     assert np.abs(got.gradient - want.gradient).max() <= 1e-15 * scale
-    assert np.array_equal(got_tied, want_tied)
 
 
 def test_int32_labels_two_member_contexts():
@@ -625,7 +625,7 @@ def test_uniform_share_is_one_float(rng, monkeypatch, masked):
     hier = build_hierarchy(gt, LevelSpec("spatial", (1, 2, 4) if not masked else (1, 2, 8)))
     for cap in (loss.BLOCK_MEMBERS, 1):
         monkeypatch.setattr(loss, "BLOCK_MEMBERS", cap)
-        want, want_fwd, want_tied, blocks = _blocked_results(pred, gt, hier)
+        want, want_fwd, blocks = _blocked_results(pred, gt, hier)
         if masked:
             assert all(isinstance(b.share, np.ndarray) for b in blocks)
         else:
@@ -633,12 +633,11 @@ def test_uniform_share_is_one_float(rng, monkeypatch, masked):
             assert [b.share for b in blocks] == [1 / 3] * len(blocks)
         with monkeypatch.context() as m:
             m.setattr(loss, "_block", _per_member_share(loss._block))
-            got, got_fwd, got_tied, blocks = _blocked_results(pred, gt, hier)
+            got, got_fwd, blocks = _blocked_results(pred, gt, hier)
         assert all(b.share.shape == b.pix.shape for b in blocks)
         assert got.value == want.value and got_fwd.value == want_fwd.value
         assert got.per_level == want.per_level == got_fwd.per_level
         assert got.gradient.tobytes() == want.gradient.tobytes()
-        assert np.array_equal(got_tied, want_tied)
 
 
 def test_gradient_pass_holds_one_block_at_a_time():
@@ -719,7 +718,7 @@ def test_pred_too_large_to_normalize_raises(kind, sizes):
         warnings.simplefilter("error")
         for call in (lambda: hdn_loss(pred, gt, cfg),
                      lambda: hdn_loss(pred, gt, cfg, with_gradient=True),
-                     lambda: loss._tie_mask(pred, gt, cfg),
+                     lambda: numerical_gradient(pred, gt, cfg),
                      lambda: l1_plus_hdn(pred, gt, cfg, 1.0)):
             with pytest.raises(InvalidMapError, match="pred values too large"):
                 call()
@@ -771,7 +770,6 @@ def test_pred_too_small_to_differentiate_raises():
     pred = DepthMap(values * 1e-315)
     cfg = loss_config(gt, "hdn_s", (1, 2, 4, 8, 16, 32))
     assert np.isfinite(hdn_loss(pred, gt, cfg).value)
-    assert loss._tie_mask(pred, gt, cfg).all()  # every deviation is tiny
     for call in (lambda: hdn_loss(pred, gt, cfg, with_gradient=True),
                  lambda: l1_plus_hdn(pred, gt, cfg, 1.0, with_gradient=True)):
         with pytest.raises(InvalidMapError, match="pred values too small to "
