@@ -27,7 +27,6 @@ _CONTEXT_KINDS = {
     "hdn_dr": "depth_range",
 }
 LOSS_KINDS = ("ssi",) + tuple(_CONTEXT_KINDS)
-INIT_KINDS = ("noisy_gt", "random")
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,11 @@ class FitConfig:
     level_sizes: tuple = (1,)
     steps: int = 300
     step_size: float = 100.0
-    init: str = "noisy_gt"
     seed: int = 7
 
     def __post_init__(self):
         if self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
-        if self.init not in INIT_KINDS:
-            raise ParameterError(f"unknown init {self.init!r}")
         # an inf step size stays inf when halved: fit_depth reports it diverged
         if self.steps < 1 or not self.step_size > 0 or self.seed < 0:
             raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")
@@ -145,12 +141,9 @@ def loss_config(gt: DepthMap, loss_kind: str,
 
 def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
     vals = gt.values[gt.valid]
-    lo, hi = float(vals.min()), float(vals.max())
+    sigma = 0.1 * max(float(vals.max()) - float(vals.min()), 1.0)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "noisy_gt":
-        sigma = 0.1 * max(hi - lo, 1.0)
-        return gt.values + sigma * rng.standard_normal(gt.values.shape)
-    return rng.uniform(lo, hi, size=gt.values.shape)
+    return gt.values + sigma * rng.standard_normal(gt.values.shape)
 
 
 def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):

@@ -65,7 +65,7 @@ from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
 EPS = 1e-6
-GRAD_STEP = 1e-5  # numerical_gradient's bump
+GRAD_STEP = 1e-5  # numerical_gradient's bump, relative to pred's size
 # a gradient check's bound on the relative error; numerical_gradient also
 # skips a pixel whose forward and backward differences disagree by more
 GRAD_TOLERANCE = 1e-4
@@ -353,32 +353,39 @@ def l1_plus_hdn(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
 # ---------------------------------------------------------------------------
 # Finite-difference checking support
 
+def _relative_error(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| / max(|a|, |b|, 1e-6 x the largest |a| or |b|); 0 where both are 0."""
+    size = np.maximum(np.abs(a), np.abs(b))
+    return np.abs(a - b) / np.maximum(size, 1e-6 * size.max(initial=0.0) or 1.0)
+
+
 def numerical_gradient(pred: DepthMap, gt: DepthMap, cfg: LossConfig) -> np.ndarray:
     """Central differences of hdn_loss at the pixels a gradient check
-    compares, NaN elsewhere. Each pixel in a surviving context is bumped
-    by +-GRAD_STEP, and each side divides by the step it actually took.
-    A pixel is skipped where a step is 0 (below pred's float spacing) or
-    where the forward and backward differences disagree by more than
-    GRAD_TOLERANCE relative: a kink within the step. A non-finite loss
-    difference raises InvalidMapError."""
+    compares, NaN elsewhere. Each pixel in a surviving context is bumped by
+    +-GRAD_STEP x (the smallest power of two above every |pred| there),
+    each side over the step it took: exact in pred's scale. A pixel whose
+    step is 0 or whose forward and backward differences disagree (a kink
+    within the step) is skipped. A non-finite quotient raises InvalidMapError."""
     used = _plan_for(cfg, gt, joint_valid(pred, gt)).used
     base = np.array(pred.values)
     flat, grad = base.reshape(-1), np.full(base.shape, np.nan)
+    h = np.ldexp(GRAD_STEP, np.frexp(np.abs(flat[used]).max())[1])
     value = hdn_loss(pred, gt, cfg).value
-    for i in used.tolist():
-        x, sides = flat[i], []
-        for bumped in (x + GRAD_STEP, x - GRAD_STEP):
-            flat[i] = bumped
-            diff = hdn_loss(DepthMap(base, pred.valid), gt, cfg).value - value
-            if not np.isfinite(diff):
-                r, c = divmod(i, base.shape[1])
-                raise InvalidMapError(f"non-finite loss difference at pixel ({r}, {c})")
-            sides.append((diff, bumped - x))  # exact when |x| >= GRAD_STEP
+    diffs, steps = np.empty((2, used.size)), np.empty((2, used.size))
+    for k, i in enumerate(used.tolist()):
+        x = flat[i]
+        for side, bumped in enumerate((x + h, x - h)):
+            flat[i], steps[side, k] = bumped, bumped - x
+            diffs[side, k] = hdn_loss(DepthMap(base, pred.valid), gt, cfg).value - value
         flat[i] = x
-        (up, hu), (down, hd) = sides  # hd < 0
-        if hu == 0 or hd == 0:
-            continue
+    stepped = (steps != 0).all(axis=0)
+    used, (up, down), (hu, hd) = used[stepped], diffs[:, stepped], steps[:, stepped]
+    with np.errstate(over="ignore"):  # a subnormal step can overflow them
         fwd, bwd = up / hu, down / hd
-        if abs(fwd - bwd) <= GRAD_TOLERANCE * max(abs(fwd), abs(bwd), 1e-6):
-            grad.flat[i] = (up - down) / (hu - hd)
+    finite = np.isfinite(fwd) & np.isfinite(bwd)
+    if not finite.all():
+        r, c = divmod(int(used[np.argmin(finite)]), base.shape[1])
+        raise InvalidMapError(f"non-finite loss difference quotient at pixel ({r}, {c})")
+    agree = _relative_error(fwd, bwd) <= GRAD_TOLERANCE
+    grad.flat[used[agree]] = ((up - down) / (hu - hd))[agree]
     return grad

@@ -30,4 +30,4 @@ def test_config_fields_are_pinned():
 
     assert names(hdnorm.LossConfig) == ["hierarchy"]
     assert names(hdnorm.FitConfig) == [
-        "loss_kind", "level_sizes", "steps", "step_size", "init", "seed"]
+        "loss_kind", "level_sizes", "steps", "step_size", "seed"]

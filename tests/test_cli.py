@@ -152,20 +152,23 @@ def _sweep_pair():
     return gt + 0.1 * rng.standard_normal((6, 6)), gt
 
 
-def test_grad_check_fails_where_the_step_is_below_pred_spacing(capsys, tmp_path):
-    # at pred x 2^1000 a 1e-5 bump leaves pred unchanged, and the analytical
-    # gradient (~1e-302) is under the relative error's 1e-6 floor, so a
-    # difference of 0 would pass; numerical_gradient skips such pixels
+@pytest.mark.parametrize("scale", [2.0**-1000, 2.0**-20, 2.0**20, 2.0**1000],
+                         ids=["2^-1000", "2^-20", "2^20", "2^1000"])
+def test_grad_check_is_the_same_at_any_power_of_two_scale(capsys, tmp_path, scale):
+    # the bump and both error floors scale with pred, so pred x 2^k prints
+    # the same report but for the gradient's norm, which scales by 2^-k.
+    # A bump fixed at 1e-5 left pred x 2^1000 unchanged: no pixel checked
     pred, gt = _sweep_pair()
     flags = ("--kind", "hdn_s", "--levels", "1,2")
     rc, out, _ = run(capsys, "grad-check", *_write_csv_pair(tmp_path, pred, gt), *flags)
-    assert rc == 0
-    assert "checked_pixels: 36\n" in out and out.endswith("result: pass\n")
-    paths = _write_csv_pair(tmp_path, pred * 2.0**1000, gt)
-    rc, out, _ = run(capsys, "grad-check", *paths, *flags)
-    assert rc == 1
-    assert out == ("gradient_norm: 4.5753565285e-302\nchecked_pixels: 0\n"
-                   "max_rel_error: nan\nresult: fail\n")
+    assert (rc, out) == (0, "gradient_norm: 0.490253390124\nused_pixels: 36\n"
+                            "checked_pixels: 36\nmax_rel_error: 3.26698e-10\n"
+                            "result: pass\n")
+    paths = _write_csv_pair(tmp_path, pred * scale, gt)
+    rc, scaled, _ = run(capsys, "grad-check", *paths, *flags)
+    norm, _, rest = scaled.partition("\n")
+    assert (rc, rest) == (0, out.partition("\n")[2])
+    assert float(norm.split(": ")[1]) == pytest.approx(0.490253390124 / scale, rel=1e-11)
 
 
 def _without_median_term(real):
@@ -225,8 +228,8 @@ def test_eval_out_of_float_range_exit2(capsys, tmp_path, pred_scale, gt_scale,
 
 def test_float_range_sweep(capsys, tmp_path):
     # pred and gt from the float's subnormal range to near its limit: every
-    # run exits 0 with finite numbers, 2 with one error line, or 1 for a
-    # failed gradient check; no exception or RuntimeWarning escapes
+    # run exits 0 with finite numbers or 2 with one error line; no exception,
+    # RuntimeWarning or failed gradient check escapes
     pred, gt = _sweep_pair()
     scales = (1e-315, 2.0**-1000, 1.0, 2.0**1000, 1e306)
     commands = [("loss", "--kind", "ssi"),
@@ -242,13 +245,14 @@ def test_float_range_sweep(capsys, tmp_path):
                 rc, out, err = run(capsys, command, *paths, *flags)
                 if rc == 0:
                     assert "nan" not in out and "inf" not in out
-                elif rc == 2:
-                    assert out == "" and err.startswith("error: ")
-                    assert err.count("\n") == 1
                 else:
-                    assert (command, rc) == ("grad-check", 1)
-                exits.append(rc)
-    assert len(exits) == 150 and {0, 1, 2} <= set(exits)
+                    assert (rc, out) == (2, "") and err.startswith("error: ")
+                    assert err.count("\n") == 1
+                exits.append((command, rc))
+    assert len(exits) == 150 and {rc for _, rc in exits} == {0, 2}
+    # every check that gets an analytical gradient passes; 9 of these 12
+    # failed while the bump and the error floors were absolute
+    assert exits.count(("grad-check", 0)) == 12
 
 
 def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
@@ -261,8 +265,8 @@ def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
     rc, out, _ = run(capsys, "grad-check", str(tmp_path / "p.pfm"),
                      str(tmp_path / "g.pfm"), "--kind", "ssi")
     assert rc == 1
-    assert out == ("gradient_norm: 0.888888888889\nchecked_pixels: 0\n"
-                   "max_rel_error: nan\nresult: fail\n")
+    assert out == ("gradient_norm: 0.888888888889\nused_pixels: 9\n"
+                   "checked_pixels: 0\nmax_rel_error: nan\nresult: fail\n")
 
 
 def _synth_pair(capsys, tmp_path):
@@ -277,12 +281,13 @@ def _synth_pair(capsys, tmp_path):
 def test_grad_check_skips_pixels_outside_surviving_contexts(capsys, tmp_path):
     # hdn_dr at S = 4 on the synth pair keeps only the 1,024-pixel
     # foreground context; the 3,072 background pixels (gt MAD 0) are in
-    # no surviving context, so none is counted
+    # no surviving context, so none is used or checked
     rc, out, _ = run(capsys, "grad-check", *_synth_pair(capsys, tmp_path),
                      "--kind", "hdn_dr", "--levels", "4")
     assert rc == 0
-    assert out == ("gradient_norm: 6.55891143371\nchecked_pixels: 1022\n"
-                   "max_rel_error: 6.18539e-10\nresult: pass\n")
+    assert out == ("gradient_norm: 6.55891143371\nused_pixels: 1024\n"
+                   "checked_pixels: 1022\nmax_rel_error: 4.16675e-10\n"
+                   "result: pass\n")
 
 
 def _scaled_by(real, factor):
@@ -305,6 +310,36 @@ def test_grad_check_fails_a_gradient_one_percent_off(capsys, tmp_path, monkeypat
     assert rc == 1 and out.endswith("result: fail\n")
     checked = int(out.split("checked_pixels: ")[1].split("\n")[0])
     assert checked > 1000
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e7, 2.0**1000],
+                         ids=["1", "1e6", "1e7", "2^1000"])
+def test_grad_check_fails_a_gradient_one_percent_off_at_any_scale(
+        capsys, tmp_path, monkeypatch, scale):
+    # with floors fixed at 1e-6, such a gradient passed at pred x 1e7
+    # (max_rel 6.6e-5): the floor, not the gradient, set the bound
+    pred, gt = _sweep_pair()
+    paths = _write_csv_pair(tmp_path, pred * scale, gt)
+    monkeypatch.setattr(cli.loss_mod, "_add_block_gradient",
+                        _scaled_by(cli.loss_mod._add_block_gradient, 1.01))
+    rc, out, _ = run(capsys, "grad-check", *paths, "--kind", "hdn_s", "--levels", "1,2")
+    assert rc == 1
+    assert out.endswith("checked_pixels: 36\nmax_rel_error: 0.00990099\nresult: fail\n")
+
+
+def test_grad_check_on_the_readme_pair_is_scale_free(capsys, tmp_path):
+    # hdn_dr{4} on the README pair, whose pred values are float32: the same
+    # pixels used and checked, the same error and verdict, at pred x 2^-20,
+    # x 1 and x 2^20
+    pp, gp = _synth_pair(capsys, tmp_path)
+    pred, gt = read_pfm(pp), read_pfm(gp)
+    reports = []
+    for scale in (2.0**-20, 1.0, 2.0**20):
+        paths = _write_csv_pair(tmp_path, pred.values * scale, gt.values)
+        rc, out, _ = run(capsys, "grad-check", *paths, "--kind", "hdn_dr", "--levels", "4")
+        reports.append((rc, out.partition("\n")[2]))
+    assert reports == [(0, "used_pixels: 1024\nchecked_pixels: 1022\n"
+                           "max_rel_error: 4.16675e-10\nresult: pass\n")] * 3
 
 
 def test_partition_golden_dump(capsys, fixture_files):
@@ -495,7 +530,7 @@ def test_unknown_command_exit2(capsys):
 
 
 def test_removed_options_exit2(capsys, fixture_files):
-    # the context filter is fixed and a constant init is no choice
+    # the context filter is fixed and every fit starts from noisy gt
     pp, gp, _ = fixture_files
     for argv, message in (
             (["loss", pp, gp, "--eps", "1e-6"], "unrecognized arguments"),
@@ -503,8 +538,9 @@ def test_removed_options_exit2(capsys, fixture_files):
             (["fit", "--eps", "1e-6"], "unrecognized arguments"),
             (["compare", "--loss", "ssi", "--min-context", "2"],
              "unrecognized arguments"),
-            (["fit", "--init", "constant"], "invalid choice"),
-            (["compare", "--loss", "ssi", "--init", "constant"], "invalid choice")):
+            (["fit", "--init", "random"], "unrecognized arguments"),
+            (["compare", "--loss", "ssi", "--init", "random"],
+             "unrecognized arguments")):
         rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert message in err

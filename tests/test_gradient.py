@@ -35,8 +35,17 @@ def analytic_gradient(pred, gt, cfg):
 
 
 def rel_error(analytic, numeric):
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    return np.abs(analytic - numeric) / denom
+    """grad-check's error: relative to the larger value, floored at 1e-6
+    of the largest one over the pixels compared (those where numeric is
+    not NaN)."""
+    size = np.maximum(np.abs(analytic), np.abs(numeric))
+    return np.abs(analytic - numeric) / np.maximum(size, 1e-6 * np.nanmax(size))
+
+
+def bump(pred, used):
+    """numerical_gradient's step: GRAD_STEP times the smallest power of
+    two above every |pred| at the used pixels."""
+    return loss.GRAD_STEP * 2.0 ** np.frexp(np.abs(pred.values.flat[used]).max())[1]
 
 
 @pytest.mark.parametrize("kind,sizes", KIND_SIZES)
@@ -55,18 +64,20 @@ def test_gradient_matches_finite_differences(rng, kind, sizes):
 
 
 def test_numerical_gradient_near_a_median(monkeypatch):
-    # a pixel 5e-4 from its context's median kink: the fixed step checks
-    # every pixel and agrees with the analytical gradient. A step past
-    # that distance straddles the kink at the planted pixel and at the
-    # median's own: their forward and backward differences disagree, so
-    # both are skipped, and every other pixel still agrees
+    # a pixel 5e-4 from its context's median kink: the fixed step (16 x
+    # GRAD_STEP, as pred is below 16) checks every pixel and agrees with
+    # the analytical gradient. A step past that distance straddles the
+    # kink at the planted pixel and at the median's own: their forward and
+    # backward differences disagree, so both are skipped, and every other
+    # pixel still agrees
     pred, gt = near_median_pair()
     cfg = loss_config(gt, "ssi", (1,))
+    assert bump(pred, np.arange(25)) == 16 * loss.GRAD_STEP < 5e-4
     analytic = analytic_gradient(pred, gt, cfg)
     numeric = numerical_gradient(pred, gt, cfg)
     assert not np.isnan(numeric).any()
     assert rel_error(analytic, numeric).max() < loss.GRAD_TOLERANCE
-    monkeypatch.setattr(loss, "GRAD_STEP", 1e-3)
+    monkeypatch.setattr(loss, "GRAD_STEP", 1e-3 / 16)
     numeric = numerical_gradient(pred, gt, cfg)
     straddled = np.abs(pred.values - np.median(pred.values)) < 1e-3
     assert straddled.sum() == 2
@@ -91,16 +102,21 @@ def _count_loss_calls(monkeypatch, value_at=None):
     return calls
 
 
-def _differences_agree(pred, gt, cfg, i):
-    """Whether the forward and backward differences of hdn_loss at flat
-    pixel i agree within GRAD_TOLERANCE relative."""
-    values, h = pred.values.copy(), loss.GRAD_STEP
-    at = [hdn_loss(pred, gt, cfg).value]
-    for x in (pred.values.flat[i] + h, pred.values.flat[i] - h):
-        values.flat[i] = x
-        at.append(hdn_loss(DepthMap(values, pred.valid), gt, cfg).value)
-    fwd, bwd = (at[1] - at[0]) / h, (at[0] - at[2]) / h
-    return abs(fwd - bwd) <= loss.GRAD_TOLERANCE * max(abs(fwd), abs(bwd), 1e-6)
+def _agreeing_differences(pred, gt, cfg, used):
+    """Whether the forward and backward differences of hdn_loss agree at
+    each used flat pixel: apart by at most GRAD_TOLERANCE of the larger
+    one, floored at 1e-6 of the largest over the used pixels."""
+    values, h = pred.values.copy(), bump(pred, used)
+    at = hdn_loss(pred, gt, cfg).value
+    sides = np.empty((2, used.size))
+    for k, i in enumerate(used):
+        for side, x in enumerate((pred.values.flat[i] + h, pred.values.flat[i] - h)):
+            values.flat[i] = x
+            sides[side, k] = hdn_loss(DepthMap(values, pred.valid), gt, cfg).value
+        values.flat[i] = pred.values.flat[i]
+    fwd, bwd = (sides[0] - at) / h, (at - sides[1]) / h
+    size = np.maximum(np.abs(fwd), np.abs(bwd))
+    return np.abs(fwd - bwd) <= loss.GRAD_TOLERANCE * np.maximum(size, 1e-6 * size.max())
 
 
 def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
@@ -123,7 +139,7 @@ def test_numerical_gradient_differences_only_checked_pixels(rng, monkeypatch):
         used[loss._plan_for(cfg, gt, joint).used] = True
         assert len(calls) - start == 1 + 2 * used.sum()
         agree = np.zeros(joint.size, dtype=bool)
-        agree[used] = [_differences_agree(pred, gt, cfg, i) for i in np.flatnonzero(used)]
+        agree[used] = _agreeing_differences(pred, gt, cfg, np.flatnonzero(used))
         checked = joint & used.reshape(joint.shape) & agree.reshape(joint.shape)
         assert np.array_equal(~np.isnan(numeric), checked)
     assert (joint.sum(), used.sum(), checked.sum()) == (24, 12, 12)
@@ -235,3 +251,33 @@ def test_gradient_descent_direction_reduces_loss(rng):
     report = hdn_loss(pred, gt, cfg, with_gradient=True)
     stepped = DepthMap(pred.values - 1.0 * report.gradient, pred.valid)
     assert hdn_loss(stepped, gt, cfg).value < report.value
+
+
+@pytest.mark.parametrize("kind,sizes", KIND_SIZES)
+def test_numerical_gradient_is_scale_free(rng, kind, sizes):
+    # the bump scales with pred by the same power of two, so pred x 2^k
+    # has the same loss differences over steps 2^k times as large: the
+    # same pixels are checked and each difference scales by exactly 2^-k
+    for _ in range(4):
+        pred, gt = random_pair(rng, 5, 5, mask_prob=0.1)
+        cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+        numeric = numerical_gradient(pred, gt, cfg)
+        assert (~np.isnan(numeric)).sum() >= 10
+        for k in (-1000, -20, 20, 1000):
+            scaled = DepthMap(np.ldexp(pred.values, k), pred.valid)
+            assert np.array_equal(numerical_gradient(scaled, gt, cfg),
+                                  np.ldexp(numeric, -k), equal_nan=True)
+
+
+def test_numerical_gradient_at_subnormal_pred():
+    # at 1e-320 the bump rounds to 0, so no pixel is differenced; at
+    # 1e-310 it is a subnormal step, and the loss difference over it
+    # overflows, as the gradient itself would
+    rng = np.random.default_rng(0)
+    gt = rng.uniform(1, 10, (6, 6))
+    pred = gt + 0.1 * rng.standard_normal((6, 6))
+    cfg = loss_config(DepthMap(gt), "hdn_s", (1, 2))
+    numeric = numerical_gradient(DepthMap(pred * 1e-320), DepthMap(gt), cfg)
+    assert np.isnan(numeric).all()
+    with pytest.raises(InvalidMapError, match="non-finite loss difference quotient"):
+        numerical_gradient(DepthMap(pred * 1e-310), DepthMap(gt), cfg)

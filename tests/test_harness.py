@@ -67,9 +67,6 @@ def test_fit_config_validation():
         FitConfig("nope")
     with pytest.raises(ParameterError):
         FitConfig("ssi", steps=0)
-    for init in ("bogus", "constant"):
-        with pytest.raises(ParameterError):
-            FitConfig("ssi", init=init)
     with pytest.raises(ParameterError):
         FitConfig("ssi", seed=-1)
     for sizes in (("x",), (), (0,), (2, 2)):
@@ -93,10 +90,21 @@ def test_fit_at_gt_is_fixed_point(monkeypatch):
     assert np.allclose(fitted.values, gt.values)
 
 
-def test_fit_trajectory_monotone_and_finite():
+def _start_uniform_over_gt_range(monkeypatch):
+    """Start fits far from gt: uniform noise over gt's valid range, drawn
+    from cfg.seed."""
+    def uniform(gt, cfg):
+        vals = gt.values[gt.valid]
+        return np.random.default_rng(cfg.seed).uniform(
+            float(vals.min()), float(vals.max()), gt.values.shape)
+    monkeypatch.setattr("hdnorm.harness._initial_prediction", uniform)
+
+
+def test_fit_trajectory_monotone_and_finite(monkeypatch):
+    _start_uniform_over_gt_range(monkeypatch)
     spec = small_fixture()
     gt = generate_scene(spec)
-    cfg = FitConfig("ssi", (1,), steps=30, step_size=50.0, init="random", seed=1)
+    cfg = FitConfig("ssi", (1,), steps=30, step_size=50.0, seed=1)
     _, report = fit_depth(gt, cfg)
     traj = np.array(report.loss_trajectory)
     assert len(traj) == 31
@@ -104,12 +112,13 @@ def test_fit_trajectory_monotone_and_finite():
     assert (np.diff(traj) <= 1e-15).all()
 
 
-def test_fit_with_overflowing_step_size_is_clean():
+def test_fit_with_overflowing_step_size_is_clean(monkeypatch):
     # the first step multiplies pred by ~1e305; the fit must return
     # finite results without a floating-point warning
+    _start_uniform_over_gt_range(monkeypatch)
     spec = standard_fixture()
     gt = generate_scene(spec)
-    cfg = FitConfig("hdn_dr", (1, 2, 4), init="random", step_size=1e308)
+    cfg = FitConfig("hdn_dr", (1, 2, 4), step_size=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         _, report = fit_depth(gt, cfg, foreground=spec.foreground)
@@ -119,15 +128,16 @@ def test_fit_with_overflowing_step_size_is_clean():
     assert np.isfinite([report.global_absrel, report.foreground_local_absrel]).all()
 
 
-def test_fit_rejects_non_finite_candidates():
+def test_fit_rejects_non_finite_candidates(monkeypatch):
     # on a 2x4 map with a 1e-3 depth range the first candidates overflow
     # to inf and must be halved away, not raise from DepthMap; the first
     # finite ones sit near the float limit, where the loss cannot
     # normalize them and they must be halved away too, with no overflow
     # warning (the suite turns RuntimeWarning into an error)
+    _start_uniform_over_gt_range(monkeypatch)
     gt = DepthMap(np.array([[1.0, 1.001, 1.0004, 1.0007],
                             [1.0002, 1.0009, 1.0001, 1.0005]]))
-    cfg = FitConfig("hdn_dr", (1, 2), init="random", step_size=1e308, steps=3)
+    cfg = FitConfig("hdn_dr", (1, 2), step_size=1e308, steps=3)
     fitted, report = fit_depth(gt, cfg)
     assert np.isfinite(fitted.values).all()
     assert np.abs(fitted.values).max() > 1e300  # it did run near the limit
@@ -269,7 +279,7 @@ def test_compare_first_error_among_ab_configs_does_not_hang(monkeypatch):
     # shutting the pool down must not wait on those queued jobs; the
     # alarm ends the test run if it hangs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    common = dict(steps=300, step_size=100.0, init="noisy_gt", seed=7)
+    common = dict(steps=300, step_size=100.0, seed=7)
     cfgs = [FitConfig("ssi", (1,), steps=300, step_size=float("inf")),
             FitConfig("hdn_s", (1, 2, 4, 8), **common),
             FitConfig("hdn_dp", (1, 2, 4), **common),
