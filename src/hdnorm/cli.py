@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +39,23 @@ def _load_map(path: str, mask_path=None) -> DepthMap:
 
 
 def _write_atomic(path: str, writer) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
+    """Run writer on a new file beside path, then rename it to path. The
+    file is made as open(path, "w") makes one, so the output gets the
+    same mode (0o666 less the umask); an OS error names path."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f"tmp{os.urandom(6).hex()}.tmp")
     try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # O_EXCL: never write through a file or link that is already there
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        try:
+            writer(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _parse_levels(text: str) -> tuple:
@@ -180,11 +186,8 @@ def _fit_config(args, loss_kind: str, levels: str) -> FitConfig:
 
 
 def cmd_fit(args) -> int:
-    spec = _scene_from_args(args)
-    gt = harness.generate_scene(spec)
     fitted, report = harness.fit_depth(
-        gt, _fit_config(args, args.loss_kind, args.levels),
-        foreground=spec.foreground)
+        _scene_from_args(args), _fit_config(args, args.loss_kind, args.levels))
     if args.out:
         _write_atomic(args.out, lambda p: depth_core.write_pfm(fitted, p))
     print(f"final_loss: {report.final_loss:.12g}")

@@ -117,10 +117,14 @@ def _pfm_scale(line: str) -> float:
 
 
 def write_pfm(map_: DepthMap, path) -> None:
-    """Write values as a grayscale little-endian PFM (scale -1.0)."""
-    if not np.all(np.isfinite(map_.values)):
-        raise InvalidMapError("write_pfm requires finite values at every pixel")
-    data = np.flipud(map_.values).astype("<f4")
+    """Write values as a grayscale little-endian PFM (scale -1.0). Every
+    value, valid or not, must be finite in float32; values round to
+    float32 as the format dictates, so tiny ones may become 0."""
+    with np.errstate(over="ignore"):
+        data = np.flipud(map_.values).astype("<f4")
+    if not np.isfinite(data).all():
+        raise InvalidMapError(
+            "write_pfm requires values finite in float32 at every pixel")
     with open(path, "wb") as f:
         f.write(f"Pf\n{map_.width} {map_.height}\n-1.0\n".encode("ascii"))
         f.write(data.tobytes())
@@ -129,26 +133,38 @@ def write_pfm(map_: DepthMap, path) -> None:
 # Longer than any well-formed PFM/PGM header line, so a file without
 # newlines is rejected after reading this many bytes.
 _MAX_HEADER_LINE = 256
+# Whole '#' comment lines a PGM header may hold before each of its
+# lines (Netpbm allows them; GIMP writes one), so a file or pipe of
+# comments alone is rejected after this many.
+_MAX_COMMENT_LINES = 16
 
 
-def _read_token_line(f, fmt: str, what: str) -> str:
-    line = f.readline(_MAX_HEADER_LINE + 1)
-    if not line.endswith(b"\n"):
-        if len(line) > _MAX_HEADER_LINE:
-            raise FormatError(
-                f"{fmt} {what} line longer than {_MAX_HEADER_LINE} bytes")
-        raise FormatError(f"unexpected end of file while reading {fmt} {what}")
-    return line.decode("ascii", errors="replace").strip()
+def _read_token_line(f, fmt: str, what: str, comments: int = 0) -> str:
+    """The next header line, stripped, after up to `comments` whole lines
+    that start with '#'."""
+    for _ in range(comments + 1):
+        line = f.readline(_MAX_HEADER_LINE + 1)
+        if not line.endswith(b"\n"):
+            if len(line) > _MAX_HEADER_LINE:
+                raise FormatError(
+                    f"{fmt} {what} line longer than {_MAX_HEADER_LINE} bytes")
+            raise FormatError(f"unexpected end of file while reading {fmt} {what}")
+        text = line.decode("ascii", errors="replace").strip()
+        if not (comments and text.startswith("#")):
+            return text
+    raise FormatError(f"more than {comments} comment lines before {fmt} {what}")
 
 
-def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int):
+def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int,
+                 comments: int = 0):
     """The rest of a PFM/PGM header after its magic line, and the payload:
     the "<W> <H>" line, the `last` line (the PFM scale, the PGM maxval),
-    checked by parse_last, and W*H*itemsize payload bytes. No more than
+    checked by parse_last, and W*H*itemsize payload bytes. Up to
+    `comments` '#' lines may come before each header line. No more than
     the bytes left in a regular file are read, so no header can make the
     reader allocate more than the file holds (a pipe's length is unknown
     until it is read). Returns (height, width, parse_last(line), payload)."""
-    dims = _read_token_line(f, fmt, "dimensions").split()
+    dims = _read_token_line(f, fmt, "dimensions", comments).split()
     if len(dims) != 2:
         raise FormatError(f"bad {fmt} dimensions line {dims!r}")
     try:
@@ -157,7 +173,7 @@ def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int):
         raise FormatError(f"bad {fmt} dimensions {dims!r}") from exc
     if width < 1 or height < 1:
         raise FormatError(f"bad {fmt} dimensions {width}x{height}")
-    parsed = parse_last(_read_token_line(f, fmt, last))
+    parsed = parse_last(_read_token_line(f, fmt, last, comments))
     size = width * height * itemsize
     st = os.fstat(f.fileno())
     left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else size
@@ -171,12 +187,14 @@ def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int):
 # PGM P5 masks
 
 def read_mask(path) -> np.ndarray:
-    """Read a binary PGM ("P5", maxval 255); nonzero byte = valid."""
+    """Read a binary PGM ("P5", maxval 255); nonzero byte = valid. Whole
+    '#' comment lines may follow the magic line and the dimensions."""
     with open(path, "rb") as f:
         magic = _read_token_line(f, "PGM", "header")
         if magic != "P5":
             raise FormatError(f"bad PGM header {magic!r}; expected 'P5'")
-        height, width, _, payload = _read_raster(f, "PGM", "maxval", _pgm_maxval, 1)
+        height, width, _, payload = _read_raster(f, "PGM", "maxval", _pgm_maxval, 1,
+                                                 _MAX_COMMENT_LINES)
     return (np.frombuffer(payload, dtype=np.uint8).reshape(height, width) != 0)
 
 

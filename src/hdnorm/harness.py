@@ -146,13 +146,15 @@ def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:
     return gt.values + sigma * rng.standard_normal(gt.values.shape)
 
 
-def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
-    """Fixed-step gradient descent on the prediction map, with the step
-    halved whenever a step would increase the loss, leave a non-finite
-    value at a valid pixel or give a pred the loss rejects.
-    Contexts are built once from gt and never change. Raises
-    DivergenceError when the loss is non-finite or no halving of the step
-    gives a candidate the loss can evaluate."""
+def fit_depth(spec: SceneSpec, cfg: FitConfig):
+    """Fit a prediction map to generate_scene(spec) by fixed-step gradient
+    descent, with the step halved whenever a step would increase the loss,
+    leave a non-finite value at a valid pixel or give a pred the loss
+    rejects. Contexts are built once from gt and never change. Returns the
+    fitted map and a report with AbsRel on the map and on spec.foreground.
+    Raises DivergenceError when the loss is non-finite or no halving of
+    the step gives a candidate the loss can evaluate."""
+    gt = generate_scene(spec)
     loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
     pred = DepthMap(_initial_prediction(gt, cfg), gt.valid)
     lr = cfg.step_size
@@ -188,18 +190,13 @@ def fit_depth(gt: DepthMap, cfg: FitConfig, foreground=None):
         if not moved:
             trajectory.append(current)  # converged; stay put
 
-    global_ar = metrics.evaluate(pred, gt).absrel
-    if foreground is None:
-        fg_ar = global_ar
-    else:
-        r0, r1, c0, c1 = foreground
-        fg_pred = DepthMap(pred.values[r0:r1, c0:c1], pred.valid[r0:r1, c0:c1])
-        fg_gt = DepthMap(gt.values[r0:r1, c0:c1], gt.valid[r0:r1, c0:c1])
-        fg_ar = metrics.evaluate(fg_pred, fg_gt).absrel
+    r0, r1, c0, c1 = spec.foreground
+    fg_pred = DepthMap(pred.values[r0:r1, c0:c1], pred.valid[r0:r1, c0:c1])
+    fg_gt = DepthMap(gt.values[r0:r1, c0:c1], gt.valid[r0:r1, c0:c1])
     return pred, FitReport(
         final_loss=trajectory[-1],
-        global_absrel=global_ar,
-        foreground_local_absrel=fg_ar,
+        global_absrel=metrics.evaluate(pred, gt).absrel,
+        foreground_local_absrel=metrics.evaluate(fg_pred, fg_gt).absrel,
         loss_trajectory=trajectory,
     )
 
@@ -219,7 +216,7 @@ def _init_worker(parent: int) -> None:
 
 def _fit_report(spec: SceneSpec, cfg: FitConfig) -> FitReport:
     """One compare job; the scene is made where the job runs."""
-    return fit_depth(generate_scene(spec), cfg, foreground=spec.foreground)[1]
+    return fit_depth(spec, cfg)[1]
 
 
 def compare_losses(spec: SceneSpec, configs) -> list:

@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import hdnorm
-from hdnorm import DepthMap, cli, read_pfm, write_mask, write_pfm
+from hdnorm import (DepthMap, cli, evaluate, hdn_loss, loss_config, read_pfm,
+                    write_mask, write_pfm)
 from hdnorm.cli import main
 from hdnorm.errors import FormatError, ParameterError, ShapeMismatchError
 
@@ -406,6 +408,47 @@ def test_eval_mask_flag(capsys, fixture_files, tmp_path):
     assert "pixels: 3" in out
 
 
+def _fields(out) -> dict:
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+def test_pred_mask_flag(capsys, fixture_files, tmp_path):
+    # loss and eval see the pred as DepthMap(pred.values, mask)
+    pp, gp, _ = fixture_files
+    mask = np.array([[True, False], [True, True]])
+    write_mask(mask, tmp_path / "m.pgm")
+    pred, gt = read_pfm(pp), read_pfm(gp)
+    masked = DepthMap(pred.values, mask)
+    flag = ["--pred-mask", str(tmp_path / "m.pgm")]
+
+    full = _fields(run(capsys, "loss", pp, gp)[1])
+    rc, out, _ = run(capsys, "loss", pp, gp, *flag)
+    report = hdn_loss(masked, gt, loss_config(gt, "ssi"))
+    assert rc == 0
+    assert _fields(out)["value"] == f"{report.value:.12g}" != full["value"]
+    assert int(_fields(out)["used_pixels"]) == report.used_pixels == int(full["used_pixels"]) - 1
+
+    full = _fields(run(capsys, "eval", pp, gp)[1])
+    rc, out, _ = run(capsys, "eval", pp, gp, *flag)
+    report = evaluate(masked, gt)
+    assert rc == 0
+    assert _fields(out)["absrel_percent"] == f"{100 * report.absrel:.1f}"
+    assert _fields(out)["scale"] == f"{report.scale:.9g}" != full["scale"]
+    assert int(_fields(out)["pixels"]) == report.pixels == int(full["pixels"]) - 1
+
+
+def test_mask_with_comment_lines(capsys, fixture_files, tmp_path):
+    pp, gp, _ = fixture_files
+    mask = np.array([[True, True], [True, False]])
+    write_mask(mask, tmp_path / "plain.pgm")
+    payload = (tmp_path / "plain.pgm").read_bytes()[len(b"P5\n2 2\n255\n"):]
+    (tmp_path / "gimp.pgm").write_bytes(
+        b"P5\n# Created by GIMP version 2.10.34 PNM plug-in\n2 2\n255\n" + payload)
+    plain = run(capsys, "eval", pp, gp, "--gt-mask", str(tmp_path / "plain.pgm"))
+    assert run(capsys, "eval", pp, gp, "--gt-mask", str(tmp_path / "gimp.pgm")) == plain
+    assert plain[0] == 0 and "pixels: 3" in plain[1]
+
+
 def test_scatter_stdout(capsys, fixture_files):
     pp, gp, _ = fixture_files
     rc, out, _ = run(capsys, "scatter", pp, gp, "--n", "4")
@@ -423,6 +466,42 @@ def test_scatter_out_file(capsys, fixture_files, tmp_path):
     assert rc == 0 and printed == ""
     assert out.read_bytes() == stdout.encode()
     assert [p.name for p in tmp_path.glob("*.tmp")] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "{out}"],
+    ["fit", "--steps", "1", "--out", "{out}"],
+    ["compare", "--loss", "ssi", "--steps", "1", "--csv", "{out}"],
+    ["scatter", "{pred}", "{gt}", "--out", "{out}"],
+])
+def test_output_mode_is_the_one_open_gives(capsys, fixture_files, argv):
+    pp, gp, tmp_path = fixture_files
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    umask = os.umask(0o022)
+    try:
+        rc = main([arg.format(out=out, pred=pp, gt=gp) for arg in argv])
+        ref.open("w").close()
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    assert rc == 0
+    assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode) == 0o644
+
+
+def test_failed_write_names_the_output(capsys, fixture_files):
+    pp, gp, tmp_path = fixture_files
+    out = tmp_path / "missing" / "pairs.csv"
+    rc, stdout, err = run(capsys, "scatter", pp, gp, "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+
+
+def test_synth_past_float32_exit2(capsys, tmp_path):
+    out = tmp_path / "big.pfm"
+    rc, stdout, err = run(capsys, "synth", "--background-depth", "1e39", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert "float32" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_deterministic(capsys, tmp_path):

@@ -42,6 +42,20 @@ def test_write_pfm_non_finite_is_typed(tmp_path):
     assert not (tmp_path / "x.pfm").exists()
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+def test_write_pfm_refuses_values_past_float32(tmp_path, value):
+    # the float32 cast would make them inf, which read_pfm rejects
+    with pytest.raises(InvalidMapError, match="float32"):
+        write_pfm(DepthMap(np.array([[1.0, value]])), tmp_path / "x.pfm")
+    assert not (tmp_path / "x.pfm").exists()
+
+
+def test_write_pfm_rounds_tiny_values_as_float32(tmp_path):
+    p = tmp_path / "t.pfm"
+    write_pfm(DepthMap(np.array([[1e-50, 1e-40]])), p)
+    assert read_pfm(p).values.tolist() == [[0.0, float(np.float32(1e-40))]]
+
+
 def test_depthmap_allows_nan_at_invalid_pixel():
     m = DepthMap(np.array([[np.nan, 1.0]]), np.array([[False, True]]))
     assert m.valid_count == 1
@@ -211,6 +225,36 @@ def test_mask_bad_maxval(tmp_path):
     with pytest.raises(FormatError, match="maxval"):
         read_mask(p)
 
+
+
+@pytest.mark.parametrize("header", [
+    b"P5\n# Created by GIMP version 2.10.34 PNM plug-in\n5 3\n255\n",
+    b"P5\n#\n  # two\n5 3\n# before maxval\n255\n",
+], ids=["gimp", "before_each_line"])
+def test_mask_comment_lines(tmp_path, rng, header):
+    # Netpbm allows whole '#' lines in the header; GIMP writes one
+    mask = rng.random((3, 5)) > 0.5
+    write_mask(mask, tmp_path / "plain.pgm")
+    payload = (tmp_path / "plain.pgm").read_bytes()[len(b"P5\n5 3\n255\n"):]
+    p = tmp_path / "commented.pgm"
+    p.write_bytes(header + payload)
+    assert np.array_equal(read_mask(p), mask)
+
+
+def test_mask_comments_alone_rejected_fast(tmp_path):
+    p = tmp_path / "comments.pgm"
+    p.write_bytes(b"P5\n" + b"# c\n" * (1 << 19))  # 2 MB of comment lines
+    t0 = time.monotonic()
+    with pytest.raises(FormatError, match="more than 16 comment lines before PGM dimensions"):
+        read_mask(p)
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_mask_one_line_header_rejected(tmp_path):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5 2 2 255\n" + b"\xff" * 4)
+    with pytest.raises(FormatError, match="bad PGM header"):
+        read_mask(p)
 
 
 @pytest.mark.parametrize("reader,fmt,magic", [

@@ -81,13 +81,12 @@ def test_loss_config_unknown_kind():
 
 def test_fit_at_gt_is_fixed_point(monkeypatch):
     spec = small_fixture()
-    gt = generate_scene(spec)
     cfg = FitConfig("hdn_dr", (1, 2), steps=5, step_size=10.0)
     monkeypatch.setattr("hdnorm.harness._initial_prediction",
                         lambda g, c: np.array(g.values))
-    fitted, report = fit_depth(gt, cfg, foreground=spec.foreground)
+    fitted, report = fit_depth(spec, cfg)
     assert max(report.loss_trajectory) < 1e-12
-    assert np.allclose(fitted.values, gt.values)
+    assert np.allclose(fitted.values, generate_scene(spec).values)
 
 
 def _start_uniform_over_gt_range(monkeypatch):
@@ -102,10 +101,8 @@ def _start_uniform_over_gt_range(monkeypatch):
 
 def test_fit_trajectory_monotone_and_finite(monkeypatch):
     _start_uniform_over_gt_range(monkeypatch)
-    spec = small_fixture()
-    gt = generate_scene(spec)
     cfg = FitConfig("ssi", (1,), steps=30, step_size=50.0, seed=1)
-    _, report = fit_depth(gt, cfg)
+    _, report = fit_depth(small_fixture(), cfg)
     traj = np.array(report.loss_trajectory)
     assert len(traj) == 31
     assert np.isfinite(traj).all()
@@ -116,12 +113,10 @@ def test_fit_with_overflowing_step_size_is_clean(monkeypatch):
     # the first step multiplies pred by ~1e305; the fit must return
     # finite results without a floating-point warning
     _start_uniform_over_gt_range(monkeypatch)
-    spec = standard_fixture()
-    gt = generate_scene(spec)
     cfg = FitConfig("hdn_dr", (1, 2, 4), step_size=1e308)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        _, report = fit_depth(gt, cfg, foreground=spec.foreground)
+        _, report = fit_depth(standard_fixture(), cfg)
     traj = np.array(report.loss_trajectory)
     assert np.isfinite(traj).all() and (np.diff(traj) <= 0).all()
     assert traj[-1] < traj[0]
@@ -137,28 +132,30 @@ def test_fit_rejects_non_finite_candidates(monkeypatch):
     _start_uniform_over_gt_range(monkeypatch)
     gt = DepthMap(np.array([[1.0, 1.001, 1.0004, 1.0007],
                             [1.0002, 1.0009, 1.0001, 1.0005]]))
+    spec = small_fixture(height=2, width=4, fg_top=0, fg_bottom=2,
+                         fg_left=0, fg_right=4)
+    monkeypatch.setattr(harness, "generate_scene", lambda _: gt)
     cfg = FitConfig("hdn_dr", (1, 2), step_size=1e308, steps=3)
-    fitted, report = fit_depth(gt, cfg)
+    fitted, report = fit_depth(spec, cfg)
     assert np.isfinite(fitted.values).all()
     assert np.abs(fitted.values).max() > 1e300  # it did run near the limit
     assert np.isfinite(report.loss_trajectory).all()
 
 
 def test_fit_diverges_when_every_backtrack_is_non_finite():
-    gt = generate_scene(small_fixture())
     cfg = FitConfig("hdn_dr", (1, 2), steps=5, step_size=float("inf"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError) as info:
-            fit_depth(gt, cfg)
+            fit_depth(small_fixture(), cfg)
     assert info.value.step == 0
 
 
 def test_fitted_loss_affine_free():
     spec = small_fixture()
-    gt = generate_scene(spec)
     cfg = FitConfig("hdn_dr", (1, 2), steps=10, step_size=50.0, seed=2)
-    fitted, report = fit_depth(gt, cfg, foreground=spec.foreground)
+    fitted, _ = fit_depth(spec, cfg)
+    gt = generate_scene(spec)
     loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
     base = hdn_loss(fitted, gt, loss_cfg).value
     for a in (0.5, 3.0):
@@ -300,10 +297,10 @@ def test_compare_killed_worker_is_raised(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     fit = harness.fit_depth
 
-    def dying(gt, cfg, foreground=None):
+    def dying(spec, cfg):
         if cfg.loss_kind == "ssi":
             os.kill(os.getpid(), signal.SIGKILL)
-        return fit(gt, cfg, foreground=foreground)
+        return fit(spec, cfg)
 
     monkeypatch.setattr(harness, "fit_depth", dying)
     cfgs = [FitConfig("hdn_s", (1, 2), steps=8), FitConfig("ssi", (1,), steps=8)]
