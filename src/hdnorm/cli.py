@@ -143,24 +143,28 @@ def _scene_from_args(args) -> SceneSpec:
 
 
 def _read_config(path: str) -> dict:
-    """One `key = value` option per line; '#' starts a comment."""
+    """One `key = value` option per line of UTF-8 text; '#' starts a comment."""
     out = {}
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _SCENE_DEFAULTS:
-                raise ParameterError(f"{path}:{lineno}: unknown option {key!r}")
-            kind = type(_SCENE_DEFAULTS[key])
-            try:
-                out[key] = kind(value)
-            except ValueError:
-                raise ParameterError(f"{path}:{lineno}: bad value {value!r} "
-                                     f"for {key}; expected {kind.__name__}") from None
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _SCENE_DEFAULTS:
+            raise ParameterError(f"{path}:{lineno}: unknown option {key!r}")
+        kind = type(_SCENE_DEFAULTS[key])
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            raise ParameterError(f"{path}:{lineno}: bad value {value!r} "
+                                 f"for {key}; expected {kind.__name__}") from None
     return out
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +172,8 @@ def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int,
         width, height = int(dims[0]), int(dims[1])
     except ValueError as exc:
         raise FormatError(f"bad {fmt} dimensions {dims!r}") from exc
-    if width < 1 or height < 1:
+    # a payload past the index range is more than one read can return
+    if width < 1 or height < 1 or width * height * itemsize > sys.maxsize:
         raise FormatError(f"bad {fmt} dimensions {width}x{height}")
     parsed = parse_last(_read_token_line(f, fmt, last, comments))
     size = width * height * itemsize

@@ -115,7 +115,11 @@ def standard_fixture() -> SceneSpec:
 
 def generate_scene(spec: SceneSpec) -> DepthMap:
     """Deterministic ground-truth scene for the given spec."""
-    values = np.full((spec.height, spec.width), spec.background_depth)
+    try:
+        values = np.full((spec.height, spec.width), spec.background_depth)
+    except ValueError:  # a shape past numpy's index range
+        raise ParameterError(f"scene dimensions {spec.height}x{spec.width} "
+                             "are too large") from None
     cols = np.arange(spec.fg_left, spec.fg_right)
     ridge = spec.base_depth + spec.ridge_amplitude * np.sin(
         2 * np.pi * cols / spec.ridge_period)

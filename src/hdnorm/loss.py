@@ -10,12 +10,13 @@ and the sum is divided by the number of such pixels.
 SSI is the one-level case: a hierarchy of the single global context.
 Batch SSI is SSI on the maps concatenated into one.
 
-Context filtering is a fixed rule: a context needs at least two
-joint-valid pixels and a ground-truth MAD above EPS. A smaller or
-degenerate context carries no relative-depth signal (a singleton has
-gt MAD 0). A pred context divides by its MAD, or by 1 when it is 0
-(every deviation is 0 then, so the residuals are -ng). With no floor,
-pred -> a * pred + b leaves the loss unchanged at tiny scales a too.
+Context filtering is one rule: a context is kept when the MAD of its
+joint-valid gt values is above 0. A context of constant gt (a singleton
+among them) carries no relative-depth signal. The rule has no unit, so
+gt -> 2^k * gt keeps the same contexts at any k. A pred context divides
+by its MAD, or by 1 when it is 0 (every deviation is 0 then, so the
+residuals are -ng). With no floor, pred -> a * pred + b leaves the loss
+unchanged at tiny scales a too.
 
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask. It is built level by level from each partition's
@@ -64,7 +65,6 @@ from .contexts import ContextHierarchy, stable_argsort
 from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
-EPS = 1e-6
 GRAD_STEP = 1e-5  # numerical_gradient's bump, relative to pred's size
 # a gradient check's bound on the relative error; numerical_gradient also
 # skips a pixel whose forward and backward differences disagree by more
@@ -142,7 +142,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
         if not joint_pix.all():
             pix = pix[joint_pix]
             sizes = np.add.reduceat(joint_pix, np.cumsum(sizes) - sizes, dtype=np.intp)
-        keep = sizes >= 2
+        keep = sizes >= 2  # a smaller context has MAD 0; spare it the median loop
         if not keep.all():
             pix, sizes = pix[np.repeat(keep, sizes)], sizes[keep]
         g = gf[pix]
@@ -163,7 +163,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
         if not np.isfinite(mad).all():
             raise InvalidMapError("gt values too large to normalize: the MAD "
                                   f"of a {part.level_tag} context overflows")
-        keep = mad > EPS
+        keep = mad > 0
         if not keep.all():
             sel = np.repeat(keep, sizes)
             pix, dev, sizes, mad = pix[sel], dev[sel], sizes[keep], mad[keep]

@@ -76,8 +76,7 @@ def ref_partition(values, valid, H, W, kind, S):
     raise ValueError(kind)
 
 
-def ref_hdn_loss(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
-                 eps=1e-6, min_context=2, gt_degenerate_skip=True):
+def ref_hdn_loss(pred, gt, pred_valid, gt_valid, H, W, kind, sizes):
     """Materialize every context, normalize by definition, average the
     per-pixel means over supervisable pixels."""
     joint = [[pred_valid[r][c] and gt_valid[r][c] for c in range(W)]
@@ -86,11 +85,10 @@ def ref_hdn_loss(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
     for S in sizes:
         for ctx in ref_partition(gt, gt_valid, H, W, kind, S):
             idx = [i for i in ctx if joint[i // W][i % W]]
-            if len(idx) < min_context:
+            if not idx:  # the median of no values is undefined
                 continue
             gvals = [gt[i // W][i % W] for i in idx]
-            gm = ref_median(gvals)
-            if gt_degenerate_skip and ref_mad(gvals, gm) <= eps:
+            if ref_mad(gvals, ref_median(gvals)) == 0:
                 continue
             pvals = [pred[i // W][i % W] for i in idx]
             gn = ref_normalize(gvals)
@@ -110,8 +108,7 @@ def ref_ssi_loss(pred, gt, pred_valid, gt_valid, H, W):
     return sum(abs(a - b) for a, b in zip(pn, gn)) / len(idx)
 
 
-def ref_hdn_gradient(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
-                     eps=1e-6, min_context=2, gt_degenerate_skip=True):
+def ref_hdn_gradient(pred, gt, pred_valid, gt_valid, H, W, kind, sizes):
     """d(loss)/d(pred) as an H x W list of lists, context by context:
     the median's rank selection and every sign() are held fixed, the
     median rank among tied pred values goes to the lower linear index,
@@ -122,10 +119,10 @@ def ref_hdn_gradient(pred, gt, pred_valid, gt_valid, H, W, kind, sizes,
     for S in sizes:
         for ctx in ref_partition(gt, gt_valid, H, W, kind, S):
             idx = [i for i in ctx if joint[i // W][i % W]]
-            if len(idx) < min_context:
+            if not idx:  # the median of no values is undefined
                 continue
             gvals = [gt[i // W][i % W] for i in idx]
-            if gt_degenerate_skip and ref_mad(gvals, ref_median(gvals)) <= eps:
+            if ref_mad(gvals, ref_median(gvals)) == 0:
                 continue
             kept.append((idx, ref_normalize(gvals)))
     count = {}

@@ -239,7 +239,7 @@ def test_float_range_sweep(capsys, tmp_path):
                 ("loss", "--kind", "hdn_dp", "--levels", "1,2", "--lambda", "1.0"),
                 ("eval",), ("eval", "--no-align"),
                 ("grad-check", "--kind", "hdn_s", "--levels", "1,2")]
-    exits = []
+    exits, outs = [], {}
     for pred_scale in scales:
         for gt_scale in scales:
             paths = _write_csv_pair(tmp_path, pred * pred_scale, gt * gt_scale)
@@ -251,10 +251,18 @@ def test_float_range_sweep(capsys, tmp_path):
                     assert (rc, out) == (2, "") and err.startswith("error: ")
                     assert err.count("\n") == 1
                 exits.append((command, rc))
+                outs[pred_scale, gt_scale, command, *flags] = out
     assert len(exits) == 150 and {rc for _, rc in exits} == {0, 2}
-    # every check that gets an analytical gradient passes; 9 of these 12
-    # failed while the bump and the error floors were absolute
-    assert exits.count(("grad-check", 0)) == 12
+    # every check that gets an analytical gradient passes: all but the 5 at
+    # pred 1e-315, where 1 / a pred MAD overflows
+    assert exits.count(("grad-check", 0)) == 20
+    # the gt filter has no unit, so a gt x 2^-1000 keeps every context and
+    # prints what gt x 1 prints. eval's scale and shift and the L1 term of
+    # --lambda are in gt units, so only the plain loss and grad-check apply
+    for pred_scale in scales:
+        for command in (commands[0], commands[1], commands[5]):
+            assert (outs[pred_scale, 2.0**-1000, *command]
+                    == outs[pred_scale, 1.0, *command])
 
 
 def test_grad_check_no_checkable_pixel_fails(capsys, tmp_path):
@@ -673,6 +681,7 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
     (tmp / "trunc.pfm").write_bytes(b"Pf\n2 2\n-1.0\n\x00")
     (tmp / "ragged.csv").write_text("1,2\n3\n")
     (tmp / "scene.txt").write_text("height = -3\n")
+    (tmp / "huge.txt").write_text("height = 99999999999999999999\n")
     out = str(tmp / "out.pfm")
     cases = [
         ["loss", pp, str(tmp / "missing.pfm")],
@@ -692,6 +701,12 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         ["synth", "--out", out, "--config", str(tmp / "scene.txt")],
         ["synth", "--out", out, "--background-depth", "nan"],
         ["synth", "--out", out, "--noise-sigma", "0.1", "--seed", "-2"],
+        # a scene numpy cannot shape
+        ["synth", "--out", out, "--height", "99999999999999999999"],
+        ["synth", "--out", out, "--config", str(tmp / "huge.txt")],
+        ["fit", "--steps", "2", "--width", "99999999999999999999"],
+        ["compare", "--steps", "2", "--loss", "ssi", "--loss", "hdn_s",
+         "--height", "99999999999999999999"],
         ["fit", "--steps", "2", "--fit-seed", "-1"],
         ["fit", "--steps", "2", "--levels", "a"],
         # gt MAD overflow: the gt is at fault, not the optimizer
@@ -720,9 +735,10 @@ def test_cli_input_errors_are_typed(capsys, fixture_files):
     mask = str(tmp / "mask.pgm")
     write_mask(np.ones((3, 3), dtype=bool), mask)
     configs = []
-    for k, text in enumerate(("height 3\n", "bogus = 1\n", "height = abc\n")):
+    for k, text in enumerate((b"height 3\n", b"bogus = 1\n", b"height = abc\n",
+                              b"height = 3\xff\n")):
         configs.append(str(tmp / f"scene{k}.cfg"))
-        Path(configs[-1]).write_text(text)
+        Path(configs[-1]).write_bytes(text)
     out = str(tmp / "out.pfm")
     cases = [
         (lambda: cli._load_map(gp, mask), ShapeMismatchError,
@@ -740,6 +756,9 @@ def test_cli_input_errors_are_typed(capsys, fixture_files):
         (lambda: cli._read_config(configs[2]), ParameterError,
          ["synth", "--out", out, "--config", configs[2]],
          f"{configs[2]}:1: bad value 'abc' for height; expected int"),
+        (lambda: cli._read_config(configs[3]), FormatError,
+         ["synth", "--out", out, "--config", configs[3]],
+         f"{configs[3]}: not UTF-8 text"),
     ]
     for call, error, argv, message in cases:
         with pytest.raises(error) as info:

@@ -303,22 +303,34 @@ def test_oversized_dimensions_rejected(tmp_path, reader, fmt, blob):
     assert time.monotonic() - t0 < 1.0
 
 
+def _read_pipe(reader, data):
+    """reader's result on a pipe holding data."""
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        return reader(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_pfm_from_pipe():
-    # a pipe has no size to check in advance, so it is read as a stream
+    # a pipe has no size to check in advance, so it is read as a stream; a
+    # header whose payload is past the index range is rejected unread
     blob = b"Pf\n2 1\n-1.0\n" + struct.pack("<2f", 1.0, 2.0)
-    for data, ok in ((blob, True), (blob[:-1], False)):
-        r, w = os.pipe()
-        os.write(w, data)
-        os.close(w)
-        try:
-            if ok:
-                assert read_pfm(f"/dev/fd/{r}").values.tolist() == [[1.0, 2.0]]
-            else:
-                with pytest.raises(FormatError, match="truncated PFM payload: got 7 of 8"):
-                    read_pfm(f"/dev/fd/{r}")
-        finally:
-            os.close(r)
+    assert _read_pipe(read_pfm, blob).values.tolist() == [[1.0, 2.0]]
+    with pytest.raises(FormatError, match="truncated PFM payload: got 7 of 8"):
+        _read_pipe(read_pfm, blob[:-1])
+    with pytest.raises(FormatError, match="bad PFM dimensions 10000000000x10000000000"):
+        _read_pipe(read_pfm, b"Pf\n10000000000 10000000000\n-1.0\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_mask_from_pipe():
+    assert _read_pipe(read_mask, b"P5\n2 1\n255\n\x00\x01").tolist() == [[False, True]]
+    with pytest.raises(FormatError, match="bad PGM dimensions 99999999999x99999999999"):
+        _read_pipe(read_mask, b"P5\n99999999999 99999999999\n255\n")
 
 
 @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"1e999"])

@@ -117,6 +117,26 @@ def test_affine_invariance_at_every_scale():
                                       rel=1e-12)
 
 
+@pytest.mark.parametrize("kind,sizes", README_CONFIGS)
+def test_gt_scale_invariance_at_every_scale(kind, sizes):
+    # the filter keeps a context when its gt MAD is above 0, a rule with no
+    # unit, and a power-of-two scale is exact in float: gt -> 2^k * gt, with
+    # the hierarchy built from the scaled gt, changes no bit of the report
+    gt = generate_scene(standard_fixture())
+    pred = DepthMap(gt.values + 0.1 * np.random.default_rng(0).standard_normal(
+        gt.values.shape))
+    reports = []
+    for k in (0, -1000, -20, 20, 1000):
+        scaled = DepthMap(np.ldexp(gt.values, k))
+        reports.append(hdn_loss(pred, scaled, loss_config(scaled, kind, sizes),
+                                with_gradient=True))
+    want = reports[0]
+    for got in reports[1:]:
+        assert (got.value, got.per_level, got.used_pixels) == (
+            want.value, want.per_level, want.used_pixels)
+        assert got.gradient.tobytes() == want.gradient.tobytes()
+
+
 def test_numerical_gradient_skips_a_context_of_pred_mad_zero():
     # pred is constant over the first context: no member is near a sign,
     # order or residual tie, but any bump switches its divisor from 1 to
@@ -211,7 +231,7 @@ def _surviving_contexts(pred, gt, kind, S):
     out = []
     for ctx in ref_partition(gt.values.tolist(), gt.valid.tolist(), H, W, kind, S):
         g = [gt.values.flat[i] for i in ctx]
-        if len(ctx) >= 2 and ref_mad(g, ref_median(g)) > 1e-6:
+        if ref_mad(g, ref_median(g)) > 0:
             out.append(ctx)
     return out
 
@@ -486,10 +506,11 @@ def test_hierarchy_over_the_cap_runs_one_block_per_level(monkeypatch):
 
 
 def test_int32_labels_two_member_contexts():
-    # depth_percentile S = 45,000 over 90,000 pixels keeps 42,971 contexts
-    # of two members, past one-byte labels. Both normalized values of a
-    # two-member context are +-1, so each kept pair adds 2 to the residual
-    # sum when pred and gt order its members differently, else 0.
+    # depth_percentile S = 45,000 over 90,000 pixels makes 45,000 contexts
+    # of two members, past one-byte labels. No two gt values are equal, so
+    # every context is kept. Both normalized values of a two-member context
+    # are +-1, so each pair adds 2 to the residual sum when pred and gt
+    # order its members differently, else 0.
     rng = np.random.default_rng(3)
     g, p = rng.uniform(1, 5, (300, 300)), rng.uniform(1, 5, (300, 300))
     gt, pred = DepthMap(g), DepthMap(p)
@@ -498,10 +519,9 @@ def test_int32_labels_two_member_contexts():
     assert cfg._memo[2].blocks[0].levels[0].label.dtype == np.uint16
     pairs = cfg.hierarchy.levels[0].members.reshape(-1, 2)
     gp, pp = g.ravel()[pairs], p.ravel()[pairs]
-    kept = np.abs(gp[:, 0] - gp[:, 1]) / 2 > loss.EPS
     flips = np.sign(gp[:, 0] - gp[:, 1]) != np.sign(pp[:, 0] - pp[:, 1])
-    assert kept.sum() == 42971 and report.used_pixels == 85942
-    assert abs(report.value - 2 * flips[kept].mean()) < 1e-9
+    assert (gp[:, 0] != gp[:, 1]).all() and report.used_pixels == 90000
+    assert abs(report.value - 2 * flips.mean()) < 1e-9
 
 
 def _plan_levels(plan):
@@ -522,12 +542,12 @@ def _reference_levels(gt, joint, hier):
         kept, ngs = [], []
         for ctx in part.contexts:
             idx = ctx[jf[ctx]]
-            if idx.size < 2:
+            if idx.size == 0:  # np.median of no values is nan
                 continue
             g = gf[idx]
             m = np.median(g)
             mad = np.mean(np.abs(g - m))
-            if mad > loss.EPS:
+            if mad > 0:
                 kept.append(idx)
                 ngs.append((g - m) / mad)
         label = np.full(gf.size, len(kept))
@@ -539,7 +559,7 @@ def _reference_levels(gt, joint, hier):
 
 
 def test_plan_matches_per_context_reference(rng):
-    # rounded gt makes ties and constant contexts (dropped for MAD <= EPS);
+    # rounded gt makes ties and constant contexts (dropped for MAD 0);
     # masks make contexts of fewer than 2 joint-valid pixels (dropped for
     # size), and the last level of single pixels loses every context.
     # Every fifth map is larger and continuous, where a MAD summed in
@@ -575,10 +595,10 @@ def test_plan_matches_per_context_reference(rng):
             if any(n < 2 for n in jsizes):
                 seen.add("size < 2")
             if sum(n >= 2 for n in jsizes) > sizes.size:
-                seen.add("MAD <= EPS")
+                seen.add("MAD 0")
             if pix.size == 0:
                 seen.add("level with every context dropped")
-    assert seen == {"joint mask smaller than gt mask", "size < 2", "MAD <= EPS",
+    assert seen == {"joint mask smaller than gt mask", "size < 2", "MAD 0",
                     "level with every context dropped"}
 
 

@@ -51,15 +51,15 @@ def test_median_empty_raises():
 
 def test_mad_example():
     # the MAD of [1, 2, 3] * k is 2k/3, and a pred MAD divides unclamped,
-    # so pn = [-1.5, 0, 1.5] = gn at k = 3e-6 and at k = 9e-7 (MAD 6e-7,
-    # below EPS) alike
+    # so pn = [-1.5, 0, 1.5] = gn at k = 3e-6 and at k = 9e-7 (MAD 6e-7)
+    # alike
     assert ssi(np.array([1, 2, 3]) * 3e-6, [-3, 0, 3]).value == 0
     assert ssi(np.array([1, 2, 3]) * 9e-7, [-3, 0, 3]).value == pytest.approx(
         0, abs=1e-15)
 
 
 def test_mad_constant_zero():
-    # a constant gt context has MAD 0 <= EPS, so it is filtered out
+    # a constant gt context has MAD 0, so it is filtered out
     with pytest.raises(DegenerateInputError, match="all contexts filtered out"):
         ssi([1, 2, 3], [4, 4, 4])
 
