@@ -1,26 +1,29 @@
 """Hierarchical depth normalization: affine-invariant depth losses over
-multi-scale contexts, evaluation metrics, and a desk-scale fit harness."""
+multi-scale contexts, evaluation metrics, and a desk-scale fit harness.
 
-from .depth_core import DepthMap, read_csv_map, read_mask, read_pfm, write_mask, write_pfm
-from .contexts import (
-    ContextHierarchy,
-    LevelSpec,
-    Partition,
-    build_hierarchy,
-    global_context,
-    partition_dump,
-)
-from .loss import LossConfig, LossReport, hdn_loss, l1_plus_hdn, numerical_gradient
-from .metrics import EvalReport, align_scale_shift, evaluate, scatter_sample
-from .harness import (
-    FitConfig,
-    FitReport,
-    SceneSpec,
-    compare_losses,
-    fit_depth,
-    generate_scene,
-    loss_config,
-    standard_fixture,
-)
+A public name's module loads when the name is first used (PEP 562), so
+`import hdnorm` and a CLI command load only the modules they run."""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+_MODULES = {
+    "depth_core": ("DepthMap", "read_csv_map", "read_mask", "read_pfm",
+                   "write_mask", "write_pfm"),
+    "contexts": ("ContextHierarchy", "LevelSpec", "Partition",
+                 "build_hierarchy", "global_context", "partition_dump"),
+    "loss": ("LossConfig", "LossReport", "hdn_loss", "l1_plus_hdn",
+             "numerical_gradient"),
+    "metrics": ("EvalReport", "align_scale_shift", "evaluate", "scatter_sample"),
+    "harness": ("FitConfig", "FitReport", "SceneSpec", "compare_losses",
+                "fit_depth", "generate_scene", "loss_config", "standard_fixture"),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

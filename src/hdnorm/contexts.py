@@ -18,6 +18,13 @@ from .depth_core import DepthMap
 from .errors import ParameterError
 
 KINDS = ("spatial", "depth_percentile", "depth_range")
+# loss kind -> context kind of its levels; ssi is the one global context
+LOSS_CONTEXT_KINDS = {
+    "hdn_s": "spatial",
+    "hdn_dp": "depth_percentile",
+    "hdn_dr": "depth_range",
+}
+LOSS_KINDS = ("ssi",) + tuple(LOSS_CONTEXT_KINDS)
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metrics
-from .contexts import ContextHierarchy, LevelSpec, build_hierarchy, global_context
+from .contexts import (LOSS_CONTEXT_KINDS, LOSS_KINDS, ContextHierarchy, LevelSpec,
+                       build_hierarchy, global_context)
 from .depth_core import DepthMap
 from .errors import DivergenceError, InvalidMapError, ParameterError
 from .loss import LossConfig, hdn_loss
-
-# loss kind -> context kind of its levels; ssi is the one global context
-_CONTEXT_KINDS = {
-    "hdn_s": "spatial",
-    "hdn_dp": "depth_percentile",
-    "hdn_dr": "depth_range",
-}
-LOSS_KINDS = ("ssi",) + tuple(_CONTEXT_KINDS)
 
 
 @dataclass(frozen=True)
@@ -138,7 +131,7 @@ def loss_config(gt: DepthMap, loss_kind: str,
     if loss_kind == "ssi":
         hierarchy = ContextHierarchy((global_context(gt),))
     else:
-        spec = LevelSpec(_CONTEXT_KINDS[loss_kind], level_sizes)
+        spec = LevelSpec(LOSS_CONTEXT_KINDS[loss_kind], level_sizes)
         hierarchy = build_hierarchy(gt, spec)
     return LossConfig(hierarchy)
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import stat
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import hdnorm
 from hdnorm import (DepthMap, cli, evaluate, hdn_loss, loss_config, read_pfm,
                     write_mask, write_pfm)
+from hdnorm import loss as loss_mod
 from hdnorm.cli import main
 from hdnorm.errors import FormatError, ParameterError, ShapeMismatchError
 
@@ -107,7 +109,7 @@ def test_grad_check_has_no_step_or_tolerance_option(capsys, fixture_files,
     # the step and the threshold are fixed (loss.GRAD_STEP and
     # loss.GRAD_TOLERANCE): argparse rejects either option, even at its old
     # default, before any loss is evaluated
-    monkeypatch.setattr(cli.loss_mod, "hdn_loss", None)
+    monkeypatch.setattr(loss_mod, "hdn_loss", None)
     pp, gp, _ = fixture_files
     rc, out, err = run(capsys, "grad-check", pp, gp, option, value)
     assert (rc, out) == (2, "")
@@ -190,8 +192,8 @@ def test_grad_check_fails_a_gradient_without_its_median_term(capsys, tmp_path,
                                                              monkeypatch, flags):
     paths = _write_csv_pair(tmp_path, *_sweep_pair())
     assert run(capsys, "grad-check", *paths, *flags)[0] == 0
-    monkeypatch.setattr(cli.loss_mod, "_add_block_gradient",
-                        _without_median_term(cli.loss_mod._add_block_gradient))
+    monkeypatch.setattr(loss_mod, "_add_block_gradient",
+                        _without_median_term(loss_mod._add_block_gradient))
     rc, out, _ = run(capsys, "grad-check", *paths, *flags)
     assert rc == 1
     assert "checked_pixels: 36\n" in out and out.endswith("result: fail\n")
@@ -314,8 +316,8 @@ def test_grad_check_fails_a_gradient_one_percent_off(capsys, tmp_path, monkeypat
     # gradient 1% off fails it; unpatched, the same run passes (above)
     paths = _synth_pair(capsys, tmp_path)
     flags = ("--kind", "hdn_dr", "--levels", "4")
-    monkeypatch.setattr(cli.loss_mod, "_add_block_gradient",
-                        _scaled_by(cli.loss_mod._add_block_gradient, 1.01))
+    monkeypatch.setattr(loss_mod, "_add_block_gradient",
+                        _scaled_by(loss_mod._add_block_gradient, 1.01))
     rc, out, _ = run(capsys, "grad-check", *paths, *flags)
     assert rc == 1 and out.endswith("result: fail\n")
     checked = int(out.split("checked_pixels: ")[1].split("\n")[0])
@@ -330,8 +332,8 @@ def test_grad_check_fails_a_gradient_one_percent_off_at_any_scale(
     # (max_rel 6.6e-5): the floor, not the gradient, set the bound
     pred, gt = _sweep_pair()
     paths = _write_csv_pair(tmp_path, pred * scale, gt)
-    monkeypatch.setattr(cli.loss_mod, "_add_block_gradient",
-                        _scaled_by(cli.loss_mod._add_block_gradient, 1.01))
+    monkeypatch.setattr(loss_mod, "_add_block_gradient",
+                        _scaled_by(loss_mod._add_block_gradient, 1.01))
     rc, out, _ = run(capsys, "grad-check", *paths, "--kind", "hdn_s", "--levels", "1,2")
     assert rc == 1
     assert out.endswith("checked_pixels: 36\nmax_rel_error: 0.00990099\nresult: fail\n")
@@ -610,6 +612,80 @@ def test_cli_import_leaves_out_process_pools():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def _fresh_main(argv, before="", after="", **kwargs):
+    """hdnorm.cli.main(argv) in a new interpreter, with code run before
+    and after it; the process exits with main's code."""
+    src = str(Path(hdnorm.__file__).resolve().parent.parent)
+    code = (f"import os, sys\n{before}\nimport hdnorm.cli\n"
+            f"code = hdnorm.cli.main({list(argv)!r})\n{after}\nsys.exit(code)\n")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), **kwargs)
+
+
+# the hdnorm submodules loaded so far, as a printed list
+_LOADED = "print(sorted(m for m in sys.modules if m.startswith('hdnorm.')))"
+
+
+def test_import_hdnorm_loads_no_submodule():
+    # a public name loads its module when it is first used
+    src = str(Path(hdnorm.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", f"import sys, hdnorm\n{_LOADED}"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_truncated_loss_loads_no_loss_module(fixture_files):
+    # the input error comes before the loss is configured
+    _, gp, tmp = fixture_files
+    (tmp / "trunc.pfm").write_bytes(b"Pf\n2 2\n-1.0\n\x00")
+    done = _fresh_main(["loss", str(tmp / "trunc.pfm"), gp], after=_LOADED)
+    assert done.returncode == 2 and "truncated PFM payload" in done.stderr
+    loaded = set(ast.literal_eval(done.stdout))
+    assert not loaded & {"hdnorm.loss", "hdnorm.harness", "hdnorm.metrics"}
+
+
+@pytest.mark.parametrize("command", [["eval"], ["scatter", "--n", "3"]])
+def test_metrics_commands_load_no_loss_module(fixture_files, command):
+    pp, gp, _ = fixture_files
+    done = _fresh_main([command[0], pp, gp, *command[1:]], after=_LOADED)
+    assert done.returncode == 0
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    assert "hdnorm.metrics" in loaded
+    assert not loaded & {"hdnorm.loss", "hdnorm.harness"}
+
+
+def test_compare_loads_its_modules_before_the_pool_forks():
+    # forked fit workers inherit the loss, contexts and metrics modules
+    # instead of compiling them each; importing the CLI loads none of them
+    record = ("import hdnorm.cli\n"
+              "loaded = lambda: sorted(m for m in sys.modules if m.startswith('hdnorm.'))\n"
+              "seen = [loaded()]\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "fork = os.fork\n"
+              "os.fork = lambda: seen.append(loaded()) or fork()\n")
+    done = _fresh_main(["compare", "--height", "16", "--width", "16",
+                        "--fg-top", "4", "--fg-bottom", "12",
+                        "--fg-left", "4", "--fg-right", "12", "--steps", "2",
+                        "--loss", "ssi", "--loss", "hdn_dr:1,2"],
+                       before=record, after="print(seen)")
+    assert done.returncode == 0
+    at_import, at_fork = ast.literal_eval(done.stdout.splitlines()[-1])[:2]
+    compute = {"hdnorm.loss", "hdnorm.contexts", "hdnorm.metrics"}
+    assert not compute & set(at_import)
+    assert compute <= set(at_fork)
+
+
+def test_map_read_out_of_memory_names_the_file(fixture_files):
+    # a header on a pipe asks for a 4e18-byte payload, which no read can
+    # allocate: the error line says so and names the file
+    _, gp, _ = fixture_files
+    done = _fresh_main(["loss", "/dev/stdin", gp],
+                       input="Pf\n1000000000 1000000000\n-1.0\n")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: /dev/stdin: out of memory\n"
 
 
 def test_unknown_command_exit2(capsys):
