@@ -333,8 +333,10 @@ def build_parser(command) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     # the ~21k objects made so far, most by importing numpy, live until
     # exit; frozen, the collections at exit skip them. On a 2-vCPU Xeon
-    # that cut exit from 39 to 10 ms per process (median of 9)
-    gc.freeze()
+    # that cut exit from 39 to 10 ms per process (median of 9). Once a
+    # process has frozen them, a later call freezes nothing more
+    if not gc.get_freeze_count():
+        gc.freeze()
     argv = sys.argv[1:] if argv is None else argv
     # the command is the first argument that is not an option, as argparse
     # finds it: the top-level parser takes no option with a value

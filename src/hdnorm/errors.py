@@ -22,8 +22,9 @@ class ParameterError(HdnormError, ValueError):
 
 
 class InvalidMapError(HdnormError, ValueError):
-    """A map's values or mask are malformed, not finite where valid, or
-    too large to normalize."""
+    """A map's values or mask are malformed or not finite where valid, or
+    a number made from them (an L1 mean, 1 / a pred MAD, an alignment,
+    AbsRel, a float32 output) leaves the float range."""
 
 
 class DegenerateInputError(HdnormError):

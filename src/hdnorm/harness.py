@@ -10,7 +10,7 @@ hierarchical contexts keep it supervised.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

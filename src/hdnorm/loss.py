@@ -12,11 +12,13 @@ Batch SSI is SSI on the maps concatenated into one.
 
 Context filtering is one rule: a context is kept when the MAD of its
 joint-valid gt values is above 0. A context of constant gt (a singleton
-among them) carries no relative-depth signal. The rule has no unit, so
-gt -> 2^k * gt keeps the same contexts at any k. A pred context divides
-by its MAD, or by 1 when it is 0 (every deviation is 0 then, so the
-residuals are -ng). With no floor, pred -> a * pred + b leaves the loss
-unchanged at tiny scales a too.
+among them) carries no relative-depth signal. A pred context divides by
+its MAD, or by 1 when it is 0 (every deviation is 0 then, so the
+residuals are -ng). gt and pred are each first multiplied by the power
+of two that brings their largest used |value| into [0.5, 1): exact
+unless a product falls below the normal range, and no MAD sum can
+overflow. So every finite map has a loss, gt -> 2^k * gt keeps the same
+contexts at any k, and pred -> a * pred + b leaves the loss unchanged.
 
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask. It is built level by level from each partition's
@@ -125,6 +127,11 @@ class _Plan:
     used: np.ndarray  # pixels in at least one surviving context
 
 
+def _prescale(lo, hi) -> float:
+    """2^-e bringing max(-lo, hi) into [0.5, 1), with e >= -1021 to stay finite."""
+    return np.ldexp(1.0, -max(np.frexp(max(-lo, hi))[1], -1021))
+
+
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
     filter rule rejects, and make the blocks. Each level is one flat
@@ -133,6 +140,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     do."""
     jf = joint.ravel()
     gf = gt.values.ravel()
+    scale = _prescale(gf.min(initial=0.0, where=jf), gf.max(initial=0.0, where=jf))
     npix = gf.size
     counts = np.zeros(npix, dtype=np.min_scalar_type(len(cfg.hierarchy.levels)))
     levels = []
@@ -146,23 +154,20 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
         if not keep.all():
             pix, sizes = pix[np.repeat(keep, sizes)], sizes[keep]
         g = gf[pix]
+        g *= scale
         ends = np.cumsum(sizes)
         spans = list(zip((ends - sizes).tolist(), ends.tolist()))
         med, mad = np.empty(sizes.size), np.empty(sizes.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, (a, b) in enumerate(spans):
-                # one kth selects several times faster than two
-                h = (b - a) // 2
-                part_g = np.partition(g[a:b], h)
-                med[k] = part_g[h] if (b - a) % 2 else (part_g[:h].max() + part_g[h]) / 2
-            dev = g
-            dev -= np.repeat(med, sizes)
-            absdev = np.abs(dev)
-            for k, (a, b) in enumerate(spans):
-                mad[k] = absdev[a:b].sum() / (b - a)
-        if not np.isfinite(mad).all():
-            raise InvalidMapError("gt values too large to normalize: the MAD "
-                                  f"of a {part.level_tag} context overflows")
+        for k, (a, b) in enumerate(spans):
+            # one kth selects several times faster than two
+            h = (b - a) // 2
+            part_g = np.partition(g[a:b], h)
+            med[k] = part_g[h] if (b - a) % 2 else (part_g[:h].max() + part_g[h]) / 2
+        dev = g
+        dev -= np.repeat(med, sizes)
+        absdev = np.abs(dev)
+        for k, (a, b) in enumerate(spans):
+            mad[k] = absdev[a:b].sum() / (b - a)
         keep = mad > 0
         if not keep.all():
             sel = np.repeat(keep, sizes)
@@ -232,23 +237,19 @@ def _middle_ranks(lv: _Level, order: np.ndarray):
     return order[perm[lv.lo]], order[perm[lv.hi]]
 
 
-def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray):
+def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray, scale):
     """(lo, hi, dev, s, res) of one block: the middle-rank pixels of each
-    context, its MAD divisor s (1 where the MAD is 0), and per member the
-    deviation from the median and the normalized residual."""
+    context, its MAD divisor s (1 in pred units where the MAD is 0), and per
+    member the deviation from the median and the normalized residual."""
     lo, hi = map(np.concatenate,
                  zip(*(_middle_ranks(lv, order) for lv in block.levels)))
     # equals np.median's (a + b) / 2 and cannot overflow when a == b
-    med = 0.5 * pf[lo] + 0.5 * pf[hi]
-    try:  # raising costs less per call than ignoring and checking mad
-        with np.errstate(over="raise"):
-            dev = pf[block.pix]
-            dev -= np.repeat(med, block.sizes)
-            mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
-    except FloatingPointError:
-        raise InvalidMapError("pred values too large to normalize: the MAD "
-                              "of a context overflows") from None
-    s = np.where(mad > 0, mad, 1.0)
+    med = (0.5 * pf[lo] + 0.5 * pf[hi]) * scale
+    dev = pf[block.pix]
+    dev *= scale
+    dev -= np.repeat(med, block.sizes)
+    mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
+    s = np.where(mad > 0, mad, scale)
     res = np.repeat(s, block.sizes)
     np.divide(dev, res, out=res)
     res -= block.ng
@@ -260,8 +261,8 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
     """Hierarchical loss over cfg.hierarchy (built from this gt). With
     with_gradient set, the report also holds the analytical
     d(loss)/d(pred) as an H x W array, zero at invalid pixels and at
-    pixels with no surviving context. A pred context whose MAD overflows,
-    or with the gradient whose 1 / MAD overflows, raises InvalidMapError."""
+    pixels with no surviving context. Every finite pred has a value; a
+    gradient whose 1 / pred MAD overflows raises InvalidMapError."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf)
@@ -282,7 +283,8 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
                gradient: Optional[np.ndarray], used: int) -> list:
     """(tag, mean |residual|, sum of share * |residual|) of each level
     of one block; adds the block's gradient terms when gradient is set."""
-    lo, hi, dev, s, res = _block_pass(block, pf, order)
+    scale = _prescale(pf[order[0]], pf[order[-1]])  # order is sorted
+    lo, hi, dev, s, res = _block_pass(block, pf, order, scale)
     absres = np.abs(res)
     means = [float(absres[lv.start:lv.stop].sum()) / (lv.stop - lv.start)
              if lv.stop > lv.start else 0.0 for lv in block.levels]
@@ -296,7 +298,7 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
         try:
             with np.errstate(over="raise", invalid="raise"):
                 _add_block_gradient(gradient.reshape(-1), block, lo, hi, dev,
-                                    s, res, dead, used)
+                                    s, res, dead, used, scale)
         except FloatingPointError:
             raise InvalidMapError("pred values too small to differentiate: 1 / "
                                   "the MAD of a context overflows") from None
@@ -304,7 +306,7 @@ def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
 
 
 def _add_block_gradient(gradient, block, lo, hi, dev, s, res, dead,
-                        used) -> None:
+                        used, scale) -> None:
     """Add one block's d(loss)/d(pred) to gradient: ws/s - sign(dev)*v
     at every member, and each context's median term z at its lower and
     upper middle-rank pixel (one pixel, twice, for odd sizes). A pixel
@@ -313,7 +315,7 @@ def _add_block_gradient(gradient, block, lo, hi, dev, s, res, dead,
     is set, overwrites res, and sign(dev) overwrites dev."""
     ws = np.copysign(block.share, res, out=res)
     ws[dead] = 0.0
-    c = 1.0 / s / used  # ws holds share, so 1/used folds in here
+    c = scale / s / used  # 1 / (pred-unit MAD * used); ws holds share
     # -d(loss)/d(MAD) / n; zero where the MAD is 0, as dev is
     v = np.add.reduceat(ws * dev, block.offsets) / s * c / block.sizes
     sgn = np.sign(dev, out=dev)

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import types
+from pathlib import Path
 
 import hdnorm
 
@@ -31,3 +33,19 @@ def test_config_fields_are_pinned():
     assert names(hdnorm.LossConfig) == ["hierarchy"]
     assert names(hdnorm.FitConfig) == [
         "loss_kind", "level_sizes", "steps", "step_size", "seed"]
+
+
+def test_no_module_imports_an_unused_name():
+    # a name a src module imports and never reads is dead weight on every
+    # import of that module; __future__ imports are directives, not names
+    unused = []
+    for path in sorted(Path(hdnorm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        bound = [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names]
+        unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []

@@ -624,6 +624,16 @@ def _fresh_main(argv, before="", after="", **kwargs):
                           env=dict(os.environ, PYTHONPATH=src), **kwargs)
 
 
+def test_main_freezes_once_per_process():
+    # the first call freezes the start-up objects; a second call in the same
+    # process leaves what was made since collectable
+    after = ("first = gc.get_freeze_count()\nhdnorm.cli.main(['--help'])\n"
+             "print(first, gc.get_freeze_count(), file=sys.stderr)")
+    done = _fresh_main(["--help"], before="import gc", after=after)
+    first, second = map(int, done.stderr.split())
+    assert done.returncode == 0 and 0 < first == second
+
+
 # the hdnorm submodules loaded so far, as a printed list
 _LOADED = "print(sorted(m for m in sys.modules if m.startswith('hdnorm.')))"
 
@@ -863,14 +873,18 @@ def test_huge_level_sizes(capsys, fixture_files, kind, tag):
     ("--kind", "hdn_s", "--levels", "1,2,4,8"),
     ("--kind", "ssi", "--lambda", "1.0"),
 ])
-def test_loss_pred_too_large_exit2(capsys, tmp_path, flags):
-    # the standard fixture and a noisy pred scaled to max |pred| = 1e306,
-    # where a pred MAD overflows: an input error, not a value
+def test_loss_pred_near_the_float_limit(capsys, tmp_path, flags):
+    # the standard fixture and a noisy pred scaled by a power of two to
+    # max |pred| just under 2^1023: the HDN loss prints what pred x 1 prints,
+    # but the L1 term of --lambda is in data units, and its mean overflows
     gt = hdnorm.generate_scene(hdnorm.standard_fixture()).values
     pred = gt + 0.1 * np.random.default_rng(0).standard_normal(gt.shape)
-    pred *= 1e306 / np.abs(pred).max()
-    paths = _write_csv_pair(tmp_path, pred, gt)
-    rc, out, err = run(capsys, "loss", *paths, *flags)
-    assert rc == 2 and "value:" not in out and "Traceback" not in err
-    assert err.splitlines() == ["error: pred values too large to normalize: "
-                                "the MAD of a context overflows"]
+    base = run(capsys, "loss", *_write_csv_pair(tmp_path, pred, gt), *flags)
+    pred = np.ldexp(pred, 1023 - np.frexp(np.abs(pred).max())[1])
+    rc, out, err = run(capsys, "loss", *_write_csv_pair(tmp_path, pred, gt), *flags)
+    assert base[0] == 0
+    if "--lambda" in flags:
+        assert (rc, out) == (2, "")
+        assert err == "error: pred values too large to normalize: the L1 mean overflows\n"
+    else:
+        assert (rc, out, err) == base
