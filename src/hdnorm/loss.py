@@ -23,8 +23,8 @@ contexts at any k, and pred -> a * pred + b leaves the loss unchanged.
 An evaluation has two parts. The *plan* holds what depends only on the
 gt and the joint mask. It is built level by level from each partition's
 flat member array: one joint-mask filter, one gather of gt values, and
-per-context medians (one np.partition each) and MADs (one slice sum
-each), computed exactly as np.median and np.mean would. Its levels form
+per-context medians (one np.partition each, as np.median) and MADs (the
+pass's own segment sum, so hdn_loss(gt, gt) is 0). Its levels form
 one *block* if they total at most BLOCK_MEMBERS members, else one block
 each. A block lists the members of its levels' surviving contexts as one
 flat array grouped by context, with their normalized gt values and their
@@ -132,12 +132,18 @@ def _prescale(lo, hi) -> float:
     return np.ldexp(1.0, -max(np.frexp(max(-lo, hi))[1], -1021))
 
 
+def _center(dev, med, sizes, offsets) -> np.ndarray:
+    """Subtract each context's median from its members of dev in place and
+    return each context's MAD, the mean |deviation| by one segment sum."""
+    dev -= np.repeat(med, sizes)
+    return np.add.reduceat(np.abs(dev), offsets) / sizes
+
+
 def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     """Filter every context to the joint-valid pixels, drop those the
     filter rule rejects, and make the blocks. Each level is one flat
-    pass over its members; only the medians and the MADs take a loop
-    over contexts, whose slices they reduce as np.median and np.mean
-    do."""
+    pass over its members; only the medians (np.median's values) take a
+    loop over contexts, and _center takes the MADs as the pass does."""
     jf = joint.ravel()
     gf = gt.values.ravel()
     scale = _prescale(gf.min(initial=0.0, where=jf), gf.max(initial=0.0, where=jf))
@@ -155,29 +161,24 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
             pix, sizes = pix[np.repeat(keep, sizes)], sizes[keep]
         g = gf[pix]
         g *= scale
-        ends = np.cumsum(sizes)
-        spans = list(zip((ends - sizes).tolist(), ends.tolist()))
-        med, mad = np.empty(sizes.size), np.empty(sizes.size)
-        for k, (a, b) in enumerate(spans):
+        offsets = np.cumsum(sizes) - sizes
+        med = np.empty(sizes.size)
+        for k, (a, n) in enumerate(zip(offsets.tolist(), sizes.tolist())):
             # one kth selects several times faster than two
-            h = (b - a) // 2
-            part_g = np.partition(g[a:b], h)
-            med[k] = part_g[h] if (b - a) % 2 else (part_g[:h].max() + part_g[h]) / 2
-        dev = g
-        dev -= np.repeat(med, sizes)
-        absdev = np.abs(dev)
-        for k, (a, b) in enumerate(spans):
-            mad[k] = absdev[a:b].sum() / (b - a)
+            h = n // 2
+            part_g = np.partition(g[a:a + n], h)
+            med[k] = part_g[h] if n % 2 else (part_g[:h].max() + part_g[h]) / 2
+        mad = _center(g, med, sizes, offsets)  # g now holds the deviations
         keep = mad > 0
         if not keep.all():
             sel = np.repeat(keep, sizes)
-            pix, dev, sizes, mad = pix[sel], dev[sel], sizes[keep], mad[keep]
+            pix, g, sizes, mad = pix[sel], g[sel], sizes[keep], mad[keep]
         k = sizes.size
         label = np.full(npix, k, dtype=np.min_scalar_type(k))
         label[pix] = np.repeat(np.arange(k, dtype=label.dtype), sizes)
         counts += label < k
-        dev /= np.repeat(mad, sizes)
-        levels.append((part.level_tag, label, pix, sizes, dev))
+        g /= np.repeat(mad, sizes)
+        levels.append((part.level_tag, label, pix, sizes, g))
     used = np.flatnonzero(counts)
     if used.size == 0:
         raise DegenerateInputError("all contexts filtered out")
@@ -247,8 +248,7 @@ def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray, scale):
     med = (0.5 * pf[lo] + 0.5 * pf[hi]) * scale
     dev = pf[block.pix]
     dev *= scale
-    dev -= np.repeat(med, block.sizes)
-    mad = np.add.reduceat(np.abs(dev), block.offsets) / block.sizes
+    mad = _center(dev, med, block.sizes, block.offsets)
     s = np.where(mad > 0, mad, scale)
     res = np.repeat(s, block.sizes)
     np.divide(dev, res, out=res)

@@ -757,6 +757,13 @@ def test_failed_allocation_exits2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_loss_empty_csv_exit2(capsys, fixture_files):
+    _, gp, tmp = fixture_files
+    (tmp / "empty.csv").write_text("")
+    assert run(capsys, "loss", str(tmp / "empty.csv"), gp) == (
+        2, "", "error: empty CSV map\n")
+
+
 def test_malformed_inputs_exit2(capsys, fixture_files):
     # every input error is a typed HdnormError or an OSError: exit 2 and
     # one "error:" line, nothing on stdout

@@ -391,6 +391,13 @@ def test_csv_non_finite_cell(tmp_path, cell):
         read_csv_map(p)
 
 
+def test_csv_empty_file(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"")
+    with pytest.raises(FormatError, match="empty CSV map"):
+        read_csv_map(p)
+
+
 def test_csv_non_ascii(tmp_path):
     p = tmp_path / "m.csv"
     p.write_bytes("1,2\n3,\u00b74".encode("utf-8"))

@@ -60,6 +60,10 @@ def test_scene_spec_validation():
     with pytest.raises(ParameterError):
         small_fixture(noise_sigma=0.1, seed=-1)
     small_fixture(seed=-1)  # no noise: the seed is never read
+    for depths in ({"base_depth": 0.0}, {"base_depth": -1.0},
+                   {"background_depth": -0.5, "base_depth": -2.0}):
+        with pytest.raises(ParameterError, match="depths must be positive"):
+            small_fixture(**depths)
 
 
 def test_fit_config_validation():
@@ -72,6 +76,11 @@ def test_fit_config_validation():
     for sizes in (("x",), (), (0,), (2, 2)):
         with pytest.raises(ParameterError):
             FitConfig("hdn_s", sizes)
+
+
+def test_compare_losses_needs_a_config():
+    with pytest.raises(ParameterError, match="needs at least one config"):
+        compare_losses(small_fixture(), [])
 
 
 def test_loss_config_unknown_kind():
@@ -140,6 +149,17 @@ def test_fit_rejects_non_finite_candidates(monkeypatch):
     assert np.isfinite(fitted.values).all()
     assert np.abs(fitted.values).max() > 1e300  # it did run near the limit
     assert np.isfinite(report.loss_trajectory).all()
+
+
+def test_fit_stays_put_when_no_halving_lowers_the_loss():
+    # at step 1e250 every one of the 60 halvings leaves a finite candidate
+    # (the loss is scale-free) whose loss is higher, so each step keeps
+    # the start: a flat trajectory, not a divergence
+    spec, cfg = standard_fixture(), FitConfig("ssi", steps=3, step_size=1e250)
+    fitted, report = fit_depth(spec, cfg)
+    start = harness._initial_prediction(generate_scene(spec), cfg)
+    assert report.loss_trajectory == [report.loss_trajectory[0]] * 4
+    assert np.array_equal(fitted.values, start)
 
 
 def test_fit_diverges_when_every_backtrack_is_non_finite():

@@ -137,6 +137,44 @@ def test_gt_scale_invariance_at_every_scale(kind, sizes):
         assert got.gradient.tobytes() == want.gradient.tobytes()
 
 
+def _self_loss_maps():
+    """The standard fixture, and a rounded 23x31 random map with ties and
+    about 10% of its pixels invalid."""
+    rng = np.random.default_rng(7)
+    yield generate_scene(standard_fixture())
+    yield DepthMap(np.round(rng.uniform(1, 6, (23, 31)), 1), rng.random((23, 31)) > 0.1)
+
+
+@pytest.mark.parametrize("kind,sizes", README_CONFIGS)
+def test_self_loss_is_zero_at_every_scale(kind, sizes):
+    # gt and pred take each context's MAD by the same segment sum, and a
+    # power-of-two scale is exact, so 2^k * gt normalizes to gt's own
+    # normalized values: every residual is exactly 0
+    for gt in _self_loss_maps():
+        cfg = loss_config(gt, kind, sizes)
+        for k in (0, -20, 7, 300, -900):
+            report = hdn_loss(DepthMap(np.ldexp(gt.values, k), gt.valid), gt, cfg,
+                              with_gradient=True)
+            assert report.value == 0.0, k
+            assert not report.gradient.any(), k
+
+
+def test_self_loss_is_zero_on_a_vga_map():
+    # a 480x640 tilted plane with closer blobs, fine texture and 5% of its
+    # pixels invalid, under the five context layouts of the VGA benchmark
+    rng = np.random.default_rng(11)
+    y, x = np.mgrid[0:480, 0:640] / np.array([480, 640])[:, None, None]
+    values = 4.0 + 8.0 * y + 2.5 * x + 0.02 * rng.standard_normal((480, 640))
+    for cy, cx, r, d in rng.uniform((0, 0, 0.05, 1), (1, 1, 0.2, 3), (6, 4)):
+        values -= d * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * r * r))
+    gt = DepthMap(values, rng.random((480, 640)) > 0.05)
+    for kind, sizes in [("spatial", (1,)), ("spatial", (1, 2, 4, 8)),
+                        ("spatial", (1, 2, 4, 8, 16, 32)),
+                        ("depth_percentile", (1, 2, 4)), ("depth_range", (1, 2, 4))]:
+        cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+        assert hdn_loss(gt, gt, cfg).value == 0.0, (kind, sizes)
+
+
 def test_numerical_gradient_skips_a_context_of_pred_mad_zero():
     # pred is constant over the first context: no member is near a sign,
     # order or residual tie, but any bump switches its divisor from 1 to
@@ -536,7 +574,8 @@ def _plan_levels(plan):
 
 
 def _reference_levels(gt, joint, hier):
-    """The same, built context by context with np.median and np.mean."""
+    """The same, built context by context: np.median, and each MAD summed
+    in the kernel's order, one np.add.reduceat over the context."""
     jf, gf = joint.ravel(), gt.values.ravel()
     for part in hier.levels:
         kept, ngs = [], []
@@ -546,7 +585,7 @@ def _reference_levels(gt, joint, hier):
                 continue
             g = gf[idx]
             m = np.median(g)
-            mad = np.mean(np.abs(g - m))
+            mad = np.add.reduceat(np.abs(g - m), [0])[0] / g.size
             if mad > 0:
                 kept.append(idx)
                 ngs.append((g - m) / mad)
@@ -563,7 +602,8 @@ def test_plan_matches_per_context_reference(rng):
     # masks make contexts of fewer than 2 joint-valid pixels (dropped for
     # size), and the last level of single pixels loses every context.
     # Every fifth map is larger and continuous, where a MAD summed in
-    # another order than np.mean's rounds differently.
+    # another order than the kernel's segment sum (np.mean's pairwise
+    # sum among them) rounds differently.
     seen = set()
     for trial in range(60):
         h, w = (40, 50) if trial % 5 == 4 else rng.integers(3, 13, 2)

@@ -56,6 +56,15 @@ def test_align_constant_pred_degenerate():
             align_scale_shift(pred, gt)
 
 
+def test_align_needs_two_joint_valid_pixels():
+    # the maps have two valid pixels each, but only one in common
+    pred = DepthMap(np.array([[1.0, 2.0, 3.0]]), np.array([[True, True, False]]))
+    gt = DepthMap(np.array([[1.0, 2.0, 4.0]]), np.array([[True, False, True]]))
+    for call in (align_scale_shift, evaluate):
+        with pytest.raises(DegenerateAlignmentError, match="at least 2 jointly valid"):
+            call(pred, gt)
+
+
 @pytest.mark.parametrize("exp", [-60, 1000])
 def test_align_is_scale_free(rng, exp):
     # a tiny pred is not constant, and one near the float limit must not

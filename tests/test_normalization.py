@@ -91,23 +91,33 @@ def test_normalize_constant_input_all_zeros():
     assert ssi([7.0, 7.0], [1.0, 3.0]).value == 1.0
 
 
+# (a, b, e) of the map v -> 2^e * (a * v + b): the shift scales with 2^e
+# too, so a * v + b stays resolvable at every scale
+affine_maps = st.tuples(st.floats(min_value=0.01, max_value=100),
+                        st.floats(min_value=-100, max_value=100),
+                        st.integers(min_value=-500, max_value=500))
+
+
+def affine(v, abe):
+    a, b, e = abe
+    return np.ldexp(a * np.asarray(v) + b, e)
+
+
 @settings(max_examples=100, deadline=None)
-@given(finite_vals,
-       st.floats(min_value=0.01, max_value=100, allow_nan=False),
-       st.floats(min_value=-100, max_value=100, allow_nan=False))
-def test_stats_affine_equivariance(vals, a, b):
-    # the kernel's median and MAD are affine equivariant, so the loss is
-    # invariant up to the rounding of a*v + b, which the spread bound
-    # keeps small
+@given(finite_vals, affine_maps, affine_maps)
+def test_stats_affine_equivariance(vals, pred_map, gt_map):
+    # the kernel's median and MAD are affine equivariant, on pred and on
+    # gt, so the loss is invariant up to the rounding of a*v + b, which
+    # the spread bound keeps small; a power of two is exact
     v = np.asarray(vals)
     g = np.arange(v.size, dtype=float)
     if v.size < 2:
         with pytest.raises(DegenerateInputError):
-            ssi(v, g)
+            ssi(affine(v, pred_map), affine(g, gt_map))
         return
     spread = np.mean(np.abs(v - np.median(v)))
     assume(spread > 1e-3 * max(1.0, np.abs(v).max()))
-    assert ssi(a * v + b, g).value == pytest.approx(
+    assert ssi(affine(v, pred_map), affine(g, gt_map)).value == pytest.approx(
         ssi(v, g).value, rel=1e-9, abs=1e-6)
 
 
