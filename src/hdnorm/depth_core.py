@@ -222,11 +222,11 @@ def read_csv_map(path) -> DepthMap:
             text = f.read().decode("ascii")
         except UnicodeDecodeError as exc:
             raise FormatError(f"non-ASCII byte in CSV map: {exc}") from exc
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
-    if not lines:
+    if not text.strip("\r\n"):  # no bytes, or only line breaks
         raise FormatError("empty CSV map")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines = lines[:-1]
     rows, valids = [], []
     width = None
     for rownum, line in enumerate(lines):

@@ -36,7 +36,7 @@ class DegenerateAlignmentError(HdnormError):
 
 
 class DivergenceError(HdnormError):
-    """Gradient descent produced a non-finite loss."""
+    """No halving of a descent step gave a candidate the loss can evaluate."""
 
     def __init__(self, step: int):
         super().__init__(step)

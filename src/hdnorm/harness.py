@@ -149,8 +149,8 @@ def fit_depth(spec: SceneSpec, cfg: FitConfig):
     leave a non-finite value at a valid pixel or give a pred the loss
     rejects. Contexts are built once from gt and never change. Returns the
     fitted map and a report with AbsRel on the map and on spec.foreground.
-    Raises DivergenceError when the loss is non-finite or no halving of
-    the step gives a candidate the loss can evaluate."""
+    Raises DivergenceError when no halving of the step gives a candidate
+    the loss can evaluate."""
     gt = generate_scene(spec)
     loss_cfg = loss_config(gt, cfg.loss_kind, cfg.level_sizes)
     pred = DepthMap(_initial_prediction(gt, cfg), gt.valid)
@@ -158,34 +158,26 @@ def fit_depth(spec: SceneSpec, cfg: FitConfig):
 
     report = hdn_loss(pred, gt, loss_cfg, with_gradient=True)
     trajectory = [report.value]
-    grad = report.gradient
     for step in range(cfg.steps):
-        current = trajectory[-1]
-        if not np.isfinite(current):
-            raise DivergenceError(step)
-        moved = finite = False
+        cand_report = None
         for _ in range(60):
             with np.errstate(over="ignore", invalid="ignore"):
-                cand = pred.values - lr * grad
+                cand = pred.values - lr * report.gradient
             try:  # DepthMap rejects a non-finite value at a valid pixel,
-                # the loss a pred it cannot normalize or differentiate
+                # the loss a pred it cannot differentiate
                 cand_map = DepthMap(cand, gt.valid)
                 cand_report = hdn_loss(cand_map, gt, loss_cfg, with_gradient=True)
             except InvalidMapError:
                 lr /= 2
                 continue
-            finite = True
-            if cand_report.value <= current:
-                pred = cand_map
-                grad = cand_report.gradient
-                trajectory.append(cand_report.value)
-                moved = True
+            if cand_report.value <= report.value:
+                pred, report = cand_map, cand_report
                 break
             lr /= 2
-        if not finite:
-            raise DivergenceError(step)
-        if not moved:
-            trajectory.append(current)  # converged; stay put
+        else:  # no candidate was lower: stay put, unless none had a loss
+            if cand_report is None:
+                raise DivergenceError(step)
+        trajectory.append(report.value)
 
     r0, r1, c0, c1 = spec.foreground
     fg_pred = DepthMap(pred.values[r0:r1, c0:c1], pred.valid[r0:r1, c0:c1])

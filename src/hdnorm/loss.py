@@ -238,24 +238,6 @@ def _middle_ranks(lv: _Level, order: np.ndarray):
     return order[perm[lv.lo]], order[perm[lv.hi]]
 
 
-def _block_pass(block: _Block, pf: np.ndarray, order: np.ndarray, scale):
-    """(lo, hi, dev, s, res) of one block: the middle-rank pixels of each
-    context, its MAD divisor s (1 in pred units where the MAD is 0), and per
-    member the deviation from the median and the normalized residual."""
-    lo, hi = map(np.concatenate,
-                 zip(*(_middle_ranks(lv, order) for lv in block.levels)))
-    # equals np.median's (a + b) / 2 and cannot overflow when a == b
-    med = (0.5 * pf[lo] + 0.5 * pf[hi]) * scale
-    dev = pf[block.pix]
-    dev *= scale
-    mad = _center(dev, med, block.sizes, block.offsets)
-    s = np.where(mad > 0, mad, scale)
-    res = np.repeat(s, block.sizes)
-    np.divide(dev, res, out=res)
-    res -= block.ng
-    return lo, hi, dev, s, res
-
-
 def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
              with_gradient: bool = False) -> LossReport:
     """Hierarchical loss over cfg.hierarchy (built from this gt). With
@@ -282,9 +264,22 @@ def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
 def _run_block(block: _Block, pf: np.ndarray, order: np.ndarray,
                gradient: Optional[np.ndarray], used: int) -> list:
     """(tag, mean |residual|, sum of share * |residual|) of each level
-    of one block; adds the block's gradient terms when gradient is set."""
+    of one block; adds the block's gradient terms when gradient is set.
+    lo and hi are the middle-rank pixels of each context, s its MAD
+    divisor (1 in pred units where the MAD is 0), and per member dev is
+    the deviation from the median and res the normalized residual."""
     scale = _prescale(pf[order[0]], pf[order[-1]])  # order is sorted
-    lo, hi, dev, s, res = _block_pass(block, pf, order, scale)
+    lo, hi = map(np.concatenate,
+                 zip(*(_middle_ranks(lv, order) for lv in block.levels)))
+    # equals np.median's (a + b) / 2 and cannot overflow when a == b
+    med = (0.5 * pf[lo] + 0.5 * pf[hi]) * scale
+    dev = pf[block.pix]
+    dev *= scale
+    mad = _center(dev, med, block.sizes, block.offsets)
+    s = np.where(mad > 0, mad, scale)
+    res = np.repeat(s, block.sizes)
+    np.divide(dev, res, out=res)
+    res -= block.ng
     absres = np.abs(res)
     means = [float(absres[lv.start:lv.stop].sum()) / (lv.stop - lv.start)
              if lv.stop > lv.start else 0.0 for lv in block.levels]

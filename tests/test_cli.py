@@ -759,9 +759,10 @@ def test_failed_allocation_exits2(tmp_path):
 
 def test_loss_empty_csv_exit2(capsys, fixture_files):
     _, gp, tmp = fixture_files
-    (tmp / "empty.csv").write_text("")
-    assert run(capsys, "loss", str(tmp / "empty.csv"), gp) == (
-        2, "", "error: empty CSV map\n")
+    for text in ("", "\n"):
+        (tmp / "empty.csv").write_text(text)
+        assert run(capsys, "loss", str(tmp / "empty.csv"), gp) == (
+            2, "", "error: empty CSV map\n")
 
 
 def test_malformed_inputs_exit2(capsys, fixture_files):

@@ -392,10 +392,12 @@ def test_csv_non_finite_cell(tmp_path, cell):
 
 
 def test_csv_empty_file(tmp_path):
+    # a file of line breaks alone is empty too, not a row of one '' cell
     p = tmp_path / "m.csv"
-    p.write_bytes(b"")
-    with pytest.raises(FormatError, match="empty CSV map"):
-        read_csv_map(p)
+    for data in (b"", b"\n", b"\n\n", b"\r\n"):
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match="empty CSV map"):
+            read_csv_map(p)
 
 
 def test_csv_non_ascii(tmp_path):

@@ -22,7 +22,7 @@ from hdnorm import (
     standard_fixture,
 )
 from hdnorm import cli, harness
-from hdnorm.errors import DivergenceError, HdnormError, ParameterError
+from hdnorm.errors import DivergenceError, HdnormError, InvalidMapError, ParameterError
 from hdnorm.harness import format_table, loss_config, rows_to_csv
 from hdnorm.loss import hdn_loss
 
@@ -134,10 +134,10 @@ def test_fit_with_overflowing_step_size_is_clean(monkeypatch):
 
 def test_fit_rejects_non_finite_candidates(monkeypatch):
     # on a 2x4 map with a 1e-3 depth range the first candidates overflow
-    # to inf and must be halved away, not raise from DepthMap; the first
-    # finite ones sit near the float limit, where the loss cannot
-    # normalize them and they must be halved away too, with no overflow
-    # warning (the suite turns RuntimeWarning into an error)
+    # to inf and must be halved away, not raise from DepthMap; only
+    # DepthMap rejects candidates here (the loss evaluates every finite
+    # one, even near the float limit), with no overflow warning (the
+    # suite turns RuntimeWarning into an error)
     _start_uniform_over_gt_range(monkeypatch)
     gt = DepthMap(np.array([[1.0, 1.001, 1.0004, 1.0007],
                             [1.0002, 1.0009, 1.0001, 1.0005]]))
@@ -169,6 +169,42 @@ def test_fit_diverges_when_every_backtrack_is_non_finite():
         with pytest.raises(DivergenceError) as info:
             fit_depth(small_fixture(), cfg)
     assert info.value.step == 0
+
+
+def _loss_failing_on(monkeypatch, fails):
+    """Make harness.hdn_loss raise InvalidMapError on each call n (from 1)
+    for which fails(n) holds; the returned list counts the calls."""
+    calls = []
+
+    def loss(*args, **kw):
+        calls.append(None)
+        if fails(len(calls)):
+            raise InvalidMapError("unevaluable")
+        return hdn_loss(*args, **kw)
+
+    monkeypatch.setattr(harness, "hdn_loss", loss)
+    return calls
+
+
+def test_fit_diverges_at_the_first_step_with_no_evaluable_candidate(monkeypatch):
+    # at step 1e250 every candidate the loss evaluates is higher (see
+    # test_fit_stays_put_when_no_halving_lowers_the_loss). Call 1 is the
+    # start; step 0 evaluates calls 2 and 3 and stays put, and step 1's
+    # 60 candidates (calls 62-121) all raise
+    calls = _loss_failing_on(monkeypatch, lambda n: n >= 4)
+    with pytest.raises(DivergenceError) as info:
+        fit_depth(standard_fixture(), FitConfig("ssi", steps=3, step_size=1e250))
+    assert info.value.step == 1
+    assert len(calls) == 121
+
+
+def test_fit_stays_put_when_some_candidates_raise(monkeypatch):
+    # every even call raises, every odd one is evaluated and higher: no
+    # step moves and none diverges
+    calls = _loss_failing_on(monkeypatch, lambda n: n % 2 == 0)
+    _, report = fit_depth(standard_fixture(), FitConfig("ssi", steps=3, step_size=1e250))
+    assert report.loss_trajectory == [0.42768519874061584] * 4
+    assert len(calls) == 1 + 3 * 60
 
 
 def test_fitted_loss_affine_free():

@@ -175,6 +175,39 @@ def test_self_loss_is_zero_on_a_vga_map():
         assert hdn_loss(gt, gt, cfg).value == 0.0, (kind, sizes)
 
 
+@pytest.mark.parametrize("kind,sizes", [("spatial", (1, 2, 4, 8)),
+                                       ("depth_percentile", (1, 2, 4)),
+                                       ("depth_range", (1, 2, 4))])
+def test_loss_is_at_most_twice_the_largest_context(kind, sizes):
+    """Every finite map has a finite loss, at most 2n for n the member
+    count of the largest surviving context. A context of n members keeps
+    a gt MAD m > 0, the mean of its n |gt deviations|, so each
+    |deviation| / m <= n: |ng_i| <= n. A pred MAD above 0 bounds each
+    |dev_i| / MAD by n the same way; a pred MAD of 0 makes every dev_i 0.
+    So each |residual| <= 2n. The value weighs each member's |residual|
+    by 1 / its pixel's context count, over the used pixels: a weighted
+    mean of |residuals|. fit_depth rests on this: it starts from a finite
+    value and accepts only a candidate whose value is no larger."""
+    rng = np.random.default_rng(27)
+    for case in range(500):
+        h, w = rng.integers(3, 20, 2)
+        gtv = np.round(rng.uniform(1, 6, (h, w)), int(rng.integers(0, 2)))  # ties
+        prv = np.round(gtv + rng.normal(0, rng.uniform(0.01, 3), (h, w)), 1)
+        r, c = rng.integers(0, h), rng.integers(0, w)
+        if case % 3 == 1:  # a constant-pred region
+            prv[r:r + h // 2 + 1, c:c + w // 2 + 1] = prv[r, c]
+        elif case % 3 == 2:  # a single outlier
+            prv[r, c] = rng.choice([-1, 1]) * rng.uniform(1e3, 1e4)
+        valid = rng.random((h, w)) > 0.2
+        valid.flat[[np.argmin(gtv), np.argmax(gtv)]] = True
+        kg, kp = rng.integers(-1000, 1001, 2)
+        gt = DepthMap(np.ldexp(gtv, kg), valid)
+        cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+        value = hdn_loss(DepthMap(np.ldexp(prv, kp), valid), gt, cfg).value
+        n = max(int(b.sizes.max()) for b in cfg._memo[2].blocks)
+        assert np.isfinite(value) and value <= 2 * n, (case, value, n)
+
+
 def test_numerical_gradient_skips_a_context_of_pred_mad_zero():
     # pred is constant over the first context: no member is near a sign,
     # order or residual tie, but any bump switches its divisor from 1 to
