@@ -236,13 +236,12 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _add_loss_flags(p, with_lambda=False) -> None:
+def _add_loss_flags(p) -> None:
+    """A pred/gt pair's flags and the loss's kind and levels."""
     from .contexts import LOSS_KINDS
+    _add_pair_flags(p)
     p.add_argument("--kind", choices=LOSS_KINDS, default="ssi")
     p.add_argument("--levels", default="1,2,4")
-    if with_lambda:
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="if set, compute L1 + lambda * HDN")
 
 
 def _add_pair_flags(p) -> None:
@@ -258,16 +257,16 @@ def _add_fit_flags(p) -> None:
     p.add_argument("--fit-seed", dest="fit_seed", type=int, default=7)
 
 
-# each command's help line, in the order `hdnorm --help` lists them
-_HELP = {
-    "loss": "evaluate a loss on a pred/gt pair",
-    "grad-check": "finite-difference gradient check",
-    "partition": "dump one partition level",
-    "eval": "AbsRel / delta1 evaluation",
-    "scatter": "sample pred/gt pairs as CSV",
-    "synth": "generate a synthetic scene PFM",
-    "fit": "direct gradient-descent fit of a scene",
-    "compare": "A/B fits under several losses",
+# each command's (help line, handler), in the order `hdnorm --help` lists them
+_COMMANDS = {
+    "loss": ("evaluate a loss on a pred/gt pair", cmd_loss),
+    "grad-check": ("finite-difference gradient check", cmd_grad_check),
+    "partition": ("dump one partition level", cmd_partition),
+    "eval": ("AbsRel / delta1 evaluation", cmd_eval),
+    "scatter": ("sample pred/gt pairs as CSV", cmd_scatter),
+    "synth": ("generate a synthetic scene PFM", cmd_synth),
+    "fit": ("direct gradient-descent fit of a scene", cmd_fit),
+    "compare": ("A/B fits under several losses", cmd_compare),
 }
 
 
@@ -279,38 +278,33 @@ def build_parser(command) -> argparse.ArgumentParser:
         description="Hierarchical depth normalization losses, metrics, and "
                     "desk-scale experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    p = {name: sub.add_parser(name, help=text) for name, text in _HELP.items()}.get(command)
+    p = {name: sub.add_parser(name, help=text)
+         for name, (text, _) in _COMMANDS.items()}.get(command)
 
     if command == "loss":
-        _add_pair_flags(p)
-        _add_loss_flags(p, with_lambda=True)
-        p.set_defaults(func=cmd_loss)
-    elif command == "grad-check":
-        _add_pair_flags(p)
         _add_loss_flags(p)
-        p.set_defaults(func=cmd_grad_check)
+        p.add_argument("--lambda", dest="lam", type=float, default=None,
+                       help="if set, compute L1 + lambda * HDN")
+    elif command == "grad-check":
+        _add_loss_flags(p)
     elif command == "partition":
         from .contexts import KINDS
         p.add_argument("gt")
         p.add_argument("--gt-mask", default=None)
         p.add_argument("--kind", choices=KINDS, default="spatial")
         p.add_argument("--s", type=int, default=1)
-        p.set_defaults(func=cmd_partition)
     elif command == "eval":
         _add_pair_flags(p)
         p.add_argument("--align", action=argparse.BooleanOptionalAction,
                        default=True)
-        p.set_defaults(func=cmd_eval)
     elif command == "scatter":
         _add_pair_flags(p)
         p.add_argument("--n", type=int, default=2000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_scatter)
     elif command == "synth":
         _add_scene_flags(p)
         p.add_argument("--out", required=True)
-        p.set_defaults(func=cmd_synth)
     elif command == "fit":
         from .contexts import LOSS_KINDS
         _add_scene_flags(p)
@@ -319,14 +313,12 @@ def build_parser(command) -> argparse.ArgumentParser:
         p.add_argument("--levels", default="1,2,4")
         _add_fit_flags(p)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_fit)
     elif command == "compare":
         _add_scene_flags(p)
         p.add_argument("--loss", action="append", required=True,
                        help="loss spec kind[:levels], repeatable; first is baseline")
         _add_fit_flags(p)
         p.add_argument("--csv", default=None)
-        p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -346,7 +338,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except (HdnormError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

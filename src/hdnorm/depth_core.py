@@ -160,7 +160,7 @@ def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int,
                  comments: int = 0):
     """The rest of a PFM/PGM header after its magic line, and the payload:
     the "<W> <H>" line, the `last` line (the PFM scale, the PGM maxval),
-    checked by parse_last, and W*H*itemsize payload bytes. Up to
+    checked by parse_last, and exactly W*H*itemsize payload bytes. Up to
     `comments` '#' lines may come before each header line. No more than
     the bytes left in a regular file are read, so no header can make the
     reader allocate more than the file holds (a pipe's length is unknown
@@ -172,16 +172,18 @@ def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int,
         width, height = int(dims[0]), int(dims[1])
     except ValueError as exc:
         raise FormatError(f"bad {fmt} dimensions {dims!r}") from exc
+    size = width * height * itemsize
     # a payload past the index range is more than one read can return
-    if width < 1 or height < 1 or width * height * itemsize > sys.maxsize:
+    if width < 1 or height < 1 or size > sys.maxsize:
         raise FormatError(f"bad {fmt} dimensions {width}x{height}")
     parsed = parse_last(_read_token_line(f, fmt, last, comments))
-    size = width * height * itemsize
     st = os.fstat(f.fileno())
     left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else size
     payload = f.read(min(size, left))
     if len(payload) != size:
         raise FormatError(f"truncated {fmt} payload: got {len(payload)} of {size} bytes")
+    if f.read(1):
+        raise FormatError(f"{fmt} payload longer than {width}x{height}")
     return height, width, parsed, payload
 
 
@@ -224,32 +226,25 @@ def read_csv_map(path) -> DepthMap:
             raise FormatError(f"non-ASCII byte in CSV map: {exc}") from exc
     if not text.strip("\r\n"):  # no bytes, or only line breaks
         raise FormatError("empty CSV map")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines = lines[:-1]
-    rows, valids = [], []
-    width = None
-    for rownum, line in enumerate(lines):
-        tokens = line.split(",")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise FormatError(f"ragged CSV: row {rownum} has {len(tokens)} cells, expected {width}")
-        row, vrow = [], []
-        for tok in tokens:
+    cells = [line.split(",") for line in text.removesuffix("\n").split("\n")]
+    width = len(cells[0])
+    # a ragged file allocates only the rows before its first ragged one
+    height = next((r for r, row in enumerate(cells) if len(row) != width), len(cells))
+    values = np.zeros((height, width))
+    valid = np.ones((height, width), dtype=bool)
+    for r in range(height):
+        for c, tok in enumerate(cells[r]):
             tok = tok.strip()
             if tok.lower() == "nan":
-                row.append(0.0)
-                vrow.append(False)
-            else:
-                try:
-                    value = float(tok)
-                except ValueError as exc:
-                    raise FormatError(f"bad CSV cell {tok!r} in row {rownum}") from exc
-                if not math.isfinite(value):
-                    raise FormatError(f"non-finite CSV cell {tok!r} in row {rownum}")
-                row.append(value)
-                vrow.append(True)
-        rows.append(row)
-        valids.append(vrow)
-    return DepthMap(np.array(rows, dtype=np.float64), np.array(valids, dtype=bool))
+                valid[r, c] = False
+                continue
+            try:
+                values[r, c] = float(tok)
+            except ValueError as exc:
+                raise FormatError(f"bad CSV cell {tok!r} in row {r}") from exc
+            if not math.isfinite(values[r, c]):
+                raise FormatError(f"non-finite CSV cell {tok!r} in row {r}")
+    if height < len(cells):
+        raise FormatError(f"ragged CSV: row {height} has {len(cells[height])} cells, "
+                          f"expected {width}")
+    return DepthMap(values, valid)

@@ -260,31 +260,29 @@ def compare_losses(spec: SceneSpec, configs) -> list:
     return rows
 
 
+# a compare row's columns: (row key, table header, table format). The CSV
+# writes every key as it is and prints numbers to 9 significant digits
+_COLUMNS = (
+    ("label", "config", ""),
+    ("final_loss", "final_loss", ".6f"),
+    ("global_absrel", "global_absrel", ".6f"),
+    ("global_absrel_change_pct", "glob%", "+.1f"),
+    ("foreground_local_absrel", "fg_absrel", ".6f"),
+    ("foreground_local_absrel_change_pct", "fg%", "+.1f"),
+)
+
+
 def format_table(rows) -> str:
     """Aligned text table of compare_losses rows."""
-    headers = ["config", "final_loss", "global_absrel", "glob%",
-               "fg_absrel", "fg%"]
-    table = [headers]
-    for row in rows:
-        table.append([
-            row["label"],
-            f"{row['final_loss']:.6f}",
-            f"{row['global_absrel']:.6f}",
-            f"{row['global_absrel_change_pct']:+.1f}",
-            f"{row['foreground_local_absrel']:.6f}",
-            f"{row['foreground_local_absrel_change_pct']:+.1f}",
-        ])
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-             for r in table]
-    return "\n".join(lines)
+    table = [[header for _, header, _ in _COLUMNS]] + [
+        [format(row[key], spec) for key, _, spec in _COLUMNS] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*table)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
+                     for r in table)
 
 
 def rows_to_csv(rows) -> str:
-    cols = ["label", "final_loss", "global_absrel", "global_absrel_change_pct",
-            "foreground_local_absrel", "foreground_local_absrel_change_pct"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(
-            row[c] if c == "label" else f"{row[c]:.9g}" for c in cols))
-    return "\n".join(lines) + "\n"
+    table = [[key for key, _, _ in _COLUMNS]] + [
+        [row[key] if key == "label" else f"{row[key]:.9g}" for key, _, _ in _COLUMNS]
+        for row in rows]
+    return "".join(",".join(line) + "\n" for line in table)

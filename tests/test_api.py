@@ -49,3 +49,34 @@ def test_no_module_imports_an_unused_name():
                  for alias in node.names]
         unused += [f"{path.name}: {name}" for name in bound if name not in read]
     assert unused == []
+
+
+def test_every_src_definition_has_a_reader():
+    # a top-level function, class or assigned name that no src module
+    # reads is dead code unless it is public; module dunders such as
+    # __getattr__ are read by Python itself
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(hdnorm.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    public = {name for names in hdnorm._MODULES.values() for name in names}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}: {name}" for name in names
+                     if name not in read and name not in public
+                     and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []

@@ -651,6 +651,8 @@ def test_truncated_loss_loads_no_loss_module(fixture_files):
     # the input error comes before the loss is configured
     _, gp, tmp = fixture_files
     (tmp / "trunc.pfm").write_bytes(b"Pf\n2 2\n-1.0\n\x00")
+    long_pfm = str(tmp / "long.pfm")  # a 2x2 header over 9 floats
+    Path(long_pfm).write_bytes(b"Pf\n2 2\n-1.0\n" + np.ones(9, "<f4").tobytes())
     done = _fresh_main(["loss", str(tmp / "trunc.pfm"), gp], after=_LOADED)
     assert done.returncode == 2 and "truncated PFM payload" in done.stderr
     loaded = set(ast.literal_eval(done.stdout))
@@ -700,6 +702,39 @@ def test_map_read_out_of_memory_names_the_file(fixture_files):
 
 def test_unknown_command_exit2(capsys):
     assert main(["definitely-not-a-command"]) == 2
+
+
+# every command with its help line, in the order `hdnorm --help` lists them
+COMMANDS = [
+    ("loss", "evaluate a loss on a pred/gt pair"),
+    ("grad-check", "finite-difference gradient check"),
+    ("partition", "dump one partition level"),
+    ("eval", "AbsRel / delta1 evaluation"),
+    ("scatter", "sample pred/gt pairs as CSV"),
+    ("synth", "generate a synthetic scene PFM"),
+    ("fit", "direct gradient-descent fit of a scene"),
+    ("compare", "A/B fits under several losses"),
+]
+
+
+def test_help_lists_every_command_with_its_help_line(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, _ = run(capsys, "--help")
+    assert rc == 0
+    names = {name for name, _ in COMMANDS}
+    listed = [tuple(line.split(None, 1)) for line in out.splitlines()
+              if line.startswith("    ") and line.split()[0] in names]
+    assert listed == COMMANDS
+
+
+@pytest.mark.parametrize("command", [name for name, _ in COMMANDS])
+def test_command_help_exits0(capsys, monkeypatch, command):
+    # only loss takes --lambda
+    monkeypatch.setenv("COLUMNS", "80")
+    rc, out, err = run(capsys, command, "--help")
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"usage: hdnorm {command} ")
+    assert ("--lambda LAM" in out) == (command == "loss")
 
 
 def test_removed_options_exit2(capsys, fixture_files):
@@ -773,6 +808,8 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
     write_pfm(DepthMap(np.ones((3, 2))), tmp / "tall.pfm")
     write_mask(np.ones((3, 3), dtype=bool), tmp / "mask.pgm")
     (tmp / "trunc.pfm").write_bytes(b"Pf\n2 2\n-1.0\n\x00")
+    long_pfm = str(tmp / "long.pfm")  # a 2x2 header over 9 floats
+    Path(long_pfm).write_bytes(b"Pf\n2 2\n-1.0\n" + np.ones(9, "<f4").tobytes())
     (tmp / "ragged.csv").write_text("1,2\n3\n")
     (tmp / "scene.txt").write_text("height = -3\n")
     (tmp / "huge.txt").write_text("height = 99999999999999999999\n")
@@ -780,6 +817,7 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
     cases = [
         ["loss", pp, str(tmp / "missing.pfm")],
         ["loss", pp, str(tmp / "trunc.pfm")],
+        ["eval", long_pfm, gp],
         ["loss", str(tmp / "ragged.csv"), gp],
         ["loss", pp, str(tmp / "tall.pfm")],
         ["loss", pp, gp, "--gt-mask", str(tmp / "mask.pgm")],
@@ -822,6 +860,8 @@ def test_malformed_inputs_exit2(capsys, fixture_files):
         assert (rc, stdout) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert not (tmp / "out.pfm").exists()
+    assert run(capsys, "eval", long_pfm, gp) == (
+        2, "", "error: PFM payload longer than 2x2\n")
 
 
 def test_cli_input_errors_are_typed(capsys, fixture_files):

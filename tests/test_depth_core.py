@@ -322,6 +322,8 @@ def test_pfm_from_pipe():
     assert _read_pipe(read_pfm, blob).values.tolist() == [[1.0, 2.0]]
     with pytest.raises(FormatError, match="truncated PFM payload: got 7 of 8"):
         _read_pipe(read_pfm, blob[:-1])
+    with pytest.raises(FormatError, match="PFM payload longer than 2x1"):
+        _read_pipe(read_pfm, blob + b"\0")
     with pytest.raises(FormatError, match="bad PFM dimensions 10000000000x10000000000"):
         _read_pipe(read_pfm, b"Pf\n10000000000 10000000000\n-1.0\n")
 
@@ -329,6 +331,8 @@ def test_pfm_from_pipe():
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_mask_from_pipe():
     assert _read_pipe(read_mask, b"P5\n2 1\n255\n\x00\x01").tolist() == [[False, True]]
+    with pytest.raises(FormatError, match="PGM payload longer than 2x1"):
+        _read_pipe(read_mask, b"P5\n2 1\n255\n\x00\x01\x00")
     with pytest.raises(FormatError, match="bad PGM dimensions 99999999999x99999999999"):
         _read_pipe(read_mask, b"P5\n99999999999 99999999999\n255\n")
 
@@ -398,6 +402,21 @@ def test_csv_empty_file(tmp_path):
         p.write_bytes(data)
         with pytest.raises(FormatError, match="empty CSV map"):
             read_csv_map(p)
+
+
+def test_csv_ragged_reads_no_more_than_its_head(tmp_path):
+    # a wide first row over many one-cell rows: the error comes before
+    # any array of rows x width is made (3000 x 3000 would be 81 MB)
+    p = tmp_path / "m.csv"
+    p.write_text(",".join(["1"] * 3000) + "\n1" * 3000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="ragged CSV: row 1 has 1 cells, expected 3000"):
+            read_csv_map(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
 
 
 def test_csv_non_ascii(tmp_path):
@@ -476,7 +495,8 @@ def test_reader_fuzz_garbled(fuzz_path, fmt, data):
         return
     magic = b"Pf" if fmt == "pfm" else b"P5"
     header, payload = raster_file(draw, fmt)
-    hows = ["header", "dimensions", "noise"] + (["payload"] if fmt == "pfm" else [])
+    hows = ["header", "dimensions", "noise", "trailing"] + (
+        ["payload"] if fmt == "pfm" else [])
     how = draw(st.sampled_from(hows))
     if how == "header":
         # a non-ASCII byte anywhere in the header spoils the line it lands in
@@ -487,6 +507,9 @@ def test_reader_fuzz_garbled(fuzz_path, fmt, data):
         i = draw(st.integers(0, len(payload) // 4 - 1))
         value = struct.pack("<f", draw(st.sampled_from([np.nan, np.inf, -np.inf])))
         blob = header + payload[:4 * i] + value + payload[4 * i + 4:]
+    elif how == "trailing":
+        # a payload longer than its header's W*H values
+        blob = header + payload + draw(st.binary(min_size=1, max_size=64))
     elif how == "noise":
         # random bytes whose first line cannot be the magic
         blob = draw(st.binary(max_size=300))

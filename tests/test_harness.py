@@ -245,9 +245,15 @@ def test_compare_reports_both_metric_columns():
         assert "global_absrel" in row and "foreground_local_absrel" in row
     table = format_table(rows)
     assert "glob%" in table and "fg%" in table
-    csv = rows_to_csv(rows)
-    assert csv.splitlines()[0].startswith("label,final_loss")
-    assert len(csv.splitlines()) == 3
+    # the CSV header is the row keys, and every number is printed to 9 digits
+    keys = ["label", "final_loss", "global_absrel", "global_absrel_change_pct",
+            "foreground_local_absrel", "foreground_local_absrel_change_pct"]
+    lines = rows_to_csv(rows).splitlines()
+    assert lines[0] == ",".join(keys)
+    assert len(lines) == 3
+    for line, row in zip(lines[1:], rows):
+        assert sorted(row) == sorted(keys)
+        assert line.split(",") == [row["label"]] + [f"{row[k]:.9g}" for k in keys[1:]]
 
 
 def test_compare_deterministic():
