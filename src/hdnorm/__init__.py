@@ -11,11 +11,11 @@ _MODULES = {
                    "write_mask", "write_pfm"),
     "contexts": ("ContextHierarchy", "LevelSpec", "Partition",
                  "build_hierarchy", "global_context", "partition_dump"),
-    "loss": ("LossConfig", "LossReport", "hdn_loss", "l1_plus_hdn",
+    "loss": ("LossConfig", "LossReport", "hdn_loss", "l1_plus_hdn", "loss_config",
              "numerical_gradient"),
     "metrics": ("EvalReport", "align_scale_shift", "evaluate", "scatter_sample"),
     "harness": ("FitConfig", "FitReport", "SceneSpec", "compare_losses",
-                "fit_depth", "generate_scene", "loss_config", "standard_fixture"),
+                "fit_depth", "generate_scene", "standard_fixture"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}
 __all__ = sorted(_HOME)

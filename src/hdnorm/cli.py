@@ -76,8 +76,8 @@ def _parse_levels(text: str) -> tuple:
 def cmd_loss(args) -> int:
     pred = _load_map(args.pred, args.pred_mask)
     gt = _load_map(args.gt, args.gt_mask)
-    from . import harness, loss
-    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels))
+    from . import loss
+    cfg = loss.loss_config(gt, args.kind, _parse_levels(args.levels))
     if args.lam is not None:
         report = loss.l1_plus_hdn(pred, gt, cfg, args.lam)
     else:
@@ -92,8 +92,8 @@ def cmd_loss(args) -> int:
 def cmd_grad_check(args) -> int:
     pred = _load_map(args.pred, args.pred_mask)
     gt = _load_map(args.gt, args.gt_mask)
-    from . import harness, loss
-    cfg = harness.loss_config(gt, args.kind, _parse_levels(args.levels))
+    from . import loss
+    cfg = loss.loss_config(gt, args.kind, _parse_levels(args.levels))
     report = loss.hdn_loss(pred, gt, cfg, with_gradient=True)
     numeric = loss.numerical_gradient(pred, gt, cfg)
     checked = ~np.isnan(numeric)  # numerical_gradient decides what is checked

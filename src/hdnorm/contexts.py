@@ -18,13 +18,9 @@ from .depth_core import DepthMap
 from .errors import ParameterError
 
 KINDS = ("spatial", "depth_percentile", "depth_range")
-# loss kind -> context kind of its levels; ssi is the one global context
-LOSS_CONTEXT_KINDS = {
-    "hdn_s": "spatial",
-    "hdn_dp": "depth_percentile",
-    "hdn_dr": "depth_range",
-}
-LOSS_KINDS = ("ssi",) + tuple(LOSS_CONTEXT_KINDS)
+# loss kind -> context kind of its levels; None is the one global context
+LOSS_KINDS = {"ssi": None, "hdn_s": "spatial", "hdn_dp": "depth_percentile",
+              "hdn_dr": "depth_range"}
 
 
 @dataclass(frozen=True)
@@ -59,8 +55,11 @@ class LevelSpec:
         if self.kind not in KINDS:
             raise ParameterError(f"unknown context kind {self.kind!r}")
         try:
-            sizes = tuple(int(s) for s in self.sizes)
-        except (TypeError, ValueError):
+            given = tuple(self.sizes)  # once, so that a generator works
+            sizes = tuple(int(s) for s in given)
+            if sizes != given:  # int() truncated 2.7 or parsed "3"
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
             raise ParameterError(f"sizes must be integers: {self.sizes!r}") from None
         if not sizes:
             raise ParameterError("sizes must be non-empty")

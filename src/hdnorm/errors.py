@@ -43,4 +43,4 @@ class DivergenceError(HdnormError):
         self.step = step
 
     def __str__(self) -> str:
-        return f"non-finite loss at step {self.step}"
+        return f"no step size gave an evaluable prediction at step {self.step}"

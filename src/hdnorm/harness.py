@@ -9,17 +9,17 @@ hierarchical contexts keep it supervised.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import metrics
-from .contexts import (LOSS_CONTEXT_KINDS, LOSS_KINDS, ContextHierarchy, LevelSpec,
-                       build_hierarchy, global_context)
+from .contexts import LOSS_KINDS, LevelSpec
 from .depth_core import DepthMap
 from .errors import DivergenceError, InvalidMapError, ParameterError
-from .loss import LossConfig, hdn_loss
+from .loss import hdn_loss, loss_config
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,10 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("height", "width", "fg_top", "fg_bottom", "fg_left", "fg_right", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
         if self.height < 1 or self.width < 1:
             raise ParameterError("scene dimensions must be positive")
         if not (0 <= self.fg_top < self.fg_bottom <= self.height
@@ -72,8 +76,10 @@ class FitConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.loss_kind not in LOSS_KINDS:
+        if not isinstance(self.loss_kind, str) or self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
+        if not all(isinstance(v, numbers.Integral) for v in (self.steps, self.seed)):
+            raise ParameterError(f"steps and seed must be integers: {(self.steps, self.seed)}")
         # an inf step size stays inf when halved: fit_depth reports it diverged
         if self.steps < 1 or not self.step_size > 0 or self.seed < 0:
             raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")
@@ -121,19 +127,6 @@ def generate_scene(spec: SceneSpec) -> DepthMap:
         rng = np.random.default_rng(spec.seed)
         values = values + spec.noise_sigma * rng.standard_normal(values.shape)
     return DepthMap(values)
-
-
-def loss_config(gt: DepthMap, loss_kind: str,
-                level_sizes: tuple = (1,)) -> LossConfig:
-    """The LossConfig of a loss kind over gt; ssi ignores level_sizes."""
-    if loss_kind not in LOSS_KINDS:
-        raise ParameterError(f"unknown loss kind {loss_kind!r}")
-    if loss_kind == "ssi":
-        hierarchy = ContextHierarchy((global_context(gt),))
-    else:
-        spec = LevelSpec(LOSS_CONTEXT_KINDS[loss_kind], level_sizes)
-        hierarchy = build_hierarchy(gt, spec)
-    return LossConfig(hierarchy)
 
 
 def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:

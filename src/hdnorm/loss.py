@@ -63,7 +63,8 @@ from typing import Optional
 
 import numpy as np
 
-from .contexts import ContextHierarchy, stable_argsort
+from .contexts import (LOSS_KINDS, ContextHierarchy, LevelSpec, build_hierarchy,
+                       global_context, stable_argsort)
 from .depth_core import DepthMap, joint_valid
 from .errors import DegenerateInputError, InvalidMapError, ParameterError
 
@@ -82,6 +83,16 @@ class LossConfig:
     # (gt, joint mask, plan) of the last evaluation, see _plan_for
     _memo: Optional[tuple] = field(default=None, init=False, repr=False,
                                    compare=False)
+
+
+def loss_config(gt: DepthMap, loss_kind: str,
+                level_sizes: tuple = (1,)) -> LossConfig:
+    """The LossConfig of a loss kind over gt; ssi ignores level_sizes."""
+    if not isinstance(loss_kind, str) or loss_kind not in LOSS_KINDS:
+        raise ParameterError(f"unknown loss kind {loss_kind!r}")
+    if LOSS_KINDS[loss_kind] is None:
+        return LossConfig(ContextHierarchy((global_context(gt),)))
+    return LossConfig(build_hierarchy(gt, LevelSpec(LOSS_KINDS[loss_kind], level_sizes)))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,16 @@ def test_exported_names_are_pinned():
     assert exported == PUBLIC
 
 
+def test_public_names_are_defined_in_their_module():
+    # each public class or function lives in the module _MODULES names, so
+    # a module that imports it (harness's loss_config) is not its home
+    misplaced = []
+    for module, names in hdnorm._MODULES.items():
+        misplaced += [name for name in names
+                      if getattr(hdnorm, name).__module__ != f"hdnorm.{module}"]
+    assert misplaced == []
+
+
 def test_config_fields_are_pinned():
     # the settable values of a loss and of a fit; the context filter and
     # the pred-MAD rule are fixed rules of the kernel, not options

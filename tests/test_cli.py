@@ -600,7 +600,7 @@ def test_compare_divergence_exit2(capsys, monkeypatch):
                        "--step-size", "inf")
     assert rc == 2
     assert out == ""
-    assert err == "error: non-finite loss at step 0\n"
+    assert err == "error: no step size gave an evaluable prediction at step 0\n"
 
 
 def test_cli_import_leaves_out_process_pools():
@@ -667,6 +667,18 @@ def test_metrics_commands_load_no_loss_module(fixture_files, command):
     loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
     assert "hdnorm.metrics" in loaded
     assert not loaded & {"hdnorm.loss", "hdnorm.harness"}
+
+
+@pytest.mark.parametrize("command", ["loss", "grad-check"])
+def test_loss_commands_load_neither_harness_nor_metrics(tmp_path, command):
+    # the loss kind's contexts come from the loss module itself
+    paths = _write_csv_pair(tmp_path, *_sweep_pair())
+    done = _fresh_main([command, *paths, "--kind", "hdn_s", "--levels", "1,2"],
+                       after=_LOADED)
+    assert done.returncode == 0
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    assert "hdnorm.loss" in loaded
+    assert not loaded & {"hdnorm.harness", "hdnorm.metrics"}
 
 
 def test_compare_loads_its_modules_before_the_pool_forks():

@@ -22,11 +22,19 @@ def as_sets(partition):
     return [set(int(i) for i in ctx) for ctx in partition.contexts]
 
 
-@pytest.mark.parametrize("sizes", [("x",), (None,), 4, ()])
+@pytest.mark.parametrize("sizes", [("x",), (None,), 4, (), (2.7,), ("3",), "12",
+                                   (1, 2.5), (float("inf"),), (float("nan"),)])
 def test_level_spec_errors_are_typed(sizes):
+    # a size is an integer: int() may not truncate or parse it
     with pytest.raises(ParameterError) as info:
         LevelSpec("spatial", sizes)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (1, np.int64(2)), (1.0, 2.0),
+                                   (s for s in (1, 2))])
+def test_level_spec_takes_integral_sizes(sizes):
+    assert LevelSpec("spatial", sizes).sizes == (1, 2)
 
 
 def test_global_all_valid():

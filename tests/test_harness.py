@@ -64,6 +64,13 @@ def test_scene_spec_validation():
                    {"background_depth": -0.5, "base_depth": -2.0}):
         with pytest.raises(ParameterError, match="depths must be positive"):
             small_fixture(**depths)
+    # integer fields take no fraction; numpy integers are integers
+    for name, value in (("height", 16.5), ("width", 16.0), ("fg_top", 4.5),
+                        ("fg_bottom", "12"), ("fg_left", 4.0), ("fg_right", 11.5),
+                        ("seed", 3.5)):
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            small_fixture(**{name: value})
+    assert generate_scene(small_fixture(height=np.int64(16))).height == 16
 
 
 def test_fit_config_validation():
@@ -73,9 +80,15 @@ def test_fit_config_validation():
         FitConfig("ssi", steps=0)
     with pytest.raises(ParameterError):
         FitConfig("ssi", seed=-1)
-    for sizes in (("x",), (), (0,), (2, 2)):
+    for sizes in (("x",), (), (0,), (2, 2), (1.9, 2.5)):
         with pytest.raises(ParameterError):
             FitConfig("hdn_s", sizes)
+    for kw in ({"steps": 2.5}, {"steps": 2.0}, {"seed": 1.5}):
+        with pytest.raises(ParameterError, match="must be integers"):
+            FitConfig("ssi", **kw)
+    with pytest.raises(ParameterError, match="unknown loss kind"):
+        FitConfig(["ssi"])  # unhashable, so not a key of LOSS_KINDS
+    assert FitConfig("hdn_s", (1.0, np.int64(2))).label == "hdn_s[1,2]"
 
 
 def test_compare_losses_needs_a_config():
@@ -86,6 +99,8 @@ def test_compare_losses_needs_a_config():
 def test_loss_config_unknown_kind():
     with pytest.raises(ParameterError, match="unknown loss kind"):
         loss_config(generate_scene(small_fixture()), "nope")
+    with pytest.raises(ParameterError, match="unknown loss kind"):
+        loss_config(generate_scene(small_fixture()), ["ssi"])
 
 
 def test_fit_at_gt_is_fixed_point(monkeypatch):
@@ -315,7 +330,7 @@ def test_compare_divergence_raised_through_pool(monkeypatch):
     with pytest.raises(DivergenceError) as info:
         compare_losses(small_fixture(), cfgs)
     assert info.value.step == 0
-    assert str(info.value) == "non-finite loss at step 0"
+    assert str(info.value) == "no step size gave an evaluable prediction at step 0"
 
 
 def test_compare_first_error_ends_the_other_fits(monkeypatch, tmp_path):
@@ -432,7 +447,7 @@ def test_errors_survive_pickling():
         assert type(back) is cls
         assert str(back) == str(err)
         assert getattr(back, "step", None) == getattr(err, "step", None)
-    assert str(DivergenceError(3)) == "non-finite loss at step 3"
+    assert str(DivergenceError(3)) == "no step size gave an evaluable prediction at step 3"
 
 
 def test_standard_fixture_shape():
