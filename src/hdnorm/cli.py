@@ -147,16 +147,14 @@ def cmd_scatter(args) -> int:
 def _scene_defaults() -> dict:
     """SceneSpec's fields, each an option whose default is the standard
     fixture's value and whose type is that value's type."""
-    from . import harness
-    return dataclasses.asdict(harness.standard_fixture())
+    return dataclasses.asdict(depth_core.SceneSpec())
 
 
 def _scene_from_args(args):
-    from . import harness
     fields = {f: getattr(args, f) for f in _scene_defaults()}
     if args.config:
         fields.update(_read_config(args.config))
-    return harness.SceneSpec(**fields)
+    return depth_core.SceneSpec(**fields)
 
 
 def _read_config(path: str) -> dict:
@@ -193,8 +191,7 @@ def _add_scene_flags(p) -> None:
 
 
 def cmd_synth(args) -> int:
-    from . import harness
-    scene = harness.generate_scene(_scene_from_args(args))
+    scene = depth_core.generate_scene(_scene_from_args(args))
     _write_atomic(args.out, lambda p: depth_core.write_pfm(scene, p))
     print(f"wrote: {args.out}")
     print(f"shape: {scene.height}x{scene.width}")

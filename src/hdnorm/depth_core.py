@@ -1,4 +1,4 @@
-"""Depth map container and PFM / PGM / CSV file I/O.
+"""Depth map container, PFM / PGM / CSV file I/O and the synthetic scene.
 
 Values are representation-agnostic (depth, inverse depth, or disparity);
 nothing here assumes units. Internals are float64; PFM payloads are float32
@@ -10,14 +10,16 @@ nonzero byte = valid) because NaN-in-PFM payloads are nonportable.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import EmptyInputError, FormatError, InvalidMapError, ShapeMismatchError
+from .errors import (EmptyInputError, FormatError, InvalidMapError, ParameterError,
+                     ShapeMismatchError)
 
 
 @dataclass(frozen=True)
@@ -248,3 +250,74 @@ def read_csv_map(path) -> DepthMap:
         raise FormatError(f"ragged CSV: row {height} has {len(cells[height])} cells, "
                           f"expected {width}")
     return DepthMap(values, valid)
+
+
+# ---------------------------------------------------------------------------
+# Synthetic scenes
+
+@dataclass(frozen=True)
+class SceneSpec:
+    """A flat background with a closer rectangular foreground carrying a
+    sinusoidal ridge pattern along the column axis. The defaults are the
+    standard fixture: 64x64 with a ~10:1 background/foreground depth
+    ratio, so global normalization compresses the +/-0.2 foreground
+    ridges."""
+
+    height: int = 64
+    width: int = 64
+    background_depth: float = 10.0
+    fg_top: int = 16
+    fg_bottom: int = 48  # exclusive
+    fg_left: int = 16
+    fg_right: int = 48  # exclusive
+    base_depth: float = 1.0
+    ridge_amplitude: float = 0.2
+    ridge_period: float = 8.0
+    noise_sigma: float = 0.0
+    seed: int = 7
+
+    def __post_init__(self):
+        for f in fields(self):  # each field takes its default's kind
+            value = getattr(self, f.name)
+            kind, word = ((numbers.Integral, "an integer") if type(f.default) is int
+                          else (numbers.Real, "a number"))
+            if not isinstance(value, kind):
+                raise ParameterError(f"{f.name} must be {word}, got {value!r}")
+        if self.height < 1 or self.width < 1:
+            raise ParameterError("scene dimensions must be positive")
+        if not (0 <= self.fg_top < self.fg_bottom <= self.height
+                and 0 <= self.fg_left < self.fg_right <= self.width):
+            raise ParameterError("foreground rectangle must lie within the image")
+        if not all(map(math.isfinite, (self.background_depth, self.base_depth,
+                                       self.ridge_amplitude, self.ridge_period,
+                                       self.noise_sigma))):
+            raise ParameterError("scene depths, ridge and noise must be finite")
+        if self.base_depth <= 0 or self.background_depth <= 0:
+            raise ParameterError("depths must be positive")
+        if self.ridge_amplitude < 0 or self.ridge_period <= 0 or self.noise_sigma < 0:
+            raise ParameterError("bad ridge/noise parameters")
+        if self.noise_sigma > 0 and self.seed < 0:
+            raise ParameterError(f"noise seed must be >= 0, got {self.seed}")
+        if self.base_depth + self.ridge_amplitude >= self.background_depth:
+            raise ParameterError("foreground must be strictly closer than background")
+
+    @property
+    def foreground(self) -> tuple:
+        return (self.fg_top, self.fg_bottom, self.fg_left, self.fg_right)
+
+
+def generate_scene(spec: SceneSpec) -> DepthMap:
+    """Deterministic ground-truth scene for the given spec."""
+    try:
+        values = np.full((spec.height, spec.width), spec.background_depth)
+    except ValueError:  # a shape past numpy's index range
+        raise ParameterError(f"scene dimensions {spec.height}x{spec.width} "
+                             "are too large") from None
+    cols = np.arange(spec.fg_left, spec.fg_right)
+    ridge = spec.base_depth + spec.ridge_amplitude * np.sin(
+        2 * np.pi * cols / spec.ridge_period)
+    values[spec.fg_top:spec.fg_bottom, spec.fg_left:spec.fg_right] = ridge
+    if spec.noise_sigma > 0:
+        rng = np.random.default_rng(spec.seed)
+        values = values + spec.noise_sigma * rng.standard_normal(values.shape)
+    return DepthMap(values)

@@ -1,5 +1,5 @@
-"""Desk-scale experiments: synthetic scenes and direct gradient-descent
-fitting of a depth map under different normalization losses.
+"""Desk-scale experiments: direct gradient-descent fits of a synthetic
+scene's depth map under different normalization losses, compared A/B.
 
 Instead of training a network, the prediction map itself is optimized.
 This isolates the loss-landscape property under study: global
@@ -17,54 +17,9 @@ import numpy as np
 
 from . import metrics
 from .contexts import LOSS_KINDS, LevelSpec
-from .depth_core import DepthMap
+from .depth_core import DepthMap, SceneSpec, generate_scene
 from .errors import DivergenceError, InvalidMapError, ParameterError
 from .loss import hdn_loss, loss_config
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    """A flat background with a closer rectangular foreground carrying a
-    sinusoidal ridge pattern along the column axis."""
-
-    height: int
-    width: int
-    background_depth: float
-    fg_top: int
-    fg_bottom: int  # exclusive
-    fg_left: int
-    fg_right: int  # exclusive
-    base_depth: float
-    ridge_amplitude: float
-    ridge_period: float
-    noise_sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("height", "width", "fg_top", "fg_bottom", "fg_left", "fg_right", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-        if self.height < 1 or self.width < 1:
-            raise ParameterError("scene dimensions must be positive")
-        if not (0 <= self.fg_top < self.fg_bottom <= self.height
-                and 0 <= self.fg_left < self.fg_right <= self.width):
-            raise ParameterError("foreground rectangle must lie within the image")
-        if not np.isfinite([self.background_depth, self.base_depth, self.ridge_amplitude,
-                            self.ridge_period, self.noise_sigma]).all():
-            raise ParameterError("scene depths, ridge and noise must be finite")
-        if self.base_depth <= 0 or self.background_depth <= 0:
-            raise ParameterError("depths must be positive")
-        if self.ridge_amplitude < 0 or self.ridge_period <= 0 or self.noise_sigma < 0:
-            raise ParameterError("bad ridge/noise parameters")
-        if self.noise_sigma > 0 and self.seed < 0:
-            raise ParameterError(f"noise seed must be >= 0, got {self.seed}")
-        if self.base_depth + self.ridge_amplitude >= self.background_depth:
-            raise ParameterError("foreground must be strictly closer than background")
-
-    @property
-    def foreground(self) -> tuple:
-        return (self.fg_top, self.fg_bottom, self.fg_left, self.fg_right)
 
 
 @dataclass(frozen=True)
@@ -80,6 +35,8 @@ class FitConfig:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
         if not all(isinstance(v, numbers.Integral) for v in (self.steps, self.seed)):
             raise ParameterError(f"steps and seed must be integers: {(self.steps, self.seed)}")
+        if not isinstance(self.step_size, numbers.Real):
+            raise ParameterError(f"step_size must be a number, got {self.step_size!r}")
         # an inf step size stays inf when halved: fit_depth reports it diverged
         if self.steps < 1 or not self.step_size > 0 or self.seed < 0:
             raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")
@@ -102,31 +59,8 @@ class FitReport:
 
 
 def standard_fixture() -> SceneSpec:
-    """64x64 scene with a ~10:1 background/foreground depth ratio, so
-    global normalization compresses the +/-0.2 foreground ridges."""
-    return SceneSpec(
-        height=64, width=64, background_depth=10.0,
-        fg_top=16, fg_bottom=48, fg_left=16, fg_right=48,
-        base_depth=1.0, ridge_amplitude=0.2, ridge_period=8.0,
-        noise_sigma=0.0, seed=7,
-    )
-
-
-def generate_scene(spec: SceneSpec) -> DepthMap:
-    """Deterministic ground-truth scene for the given spec."""
-    try:
-        values = np.full((spec.height, spec.width), spec.background_depth)
-    except ValueError:  # a shape past numpy's index range
-        raise ParameterError(f"scene dimensions {spec.height}x{spec.width} "
-                             "are too large") from None
-    cols = np.arange(spec.fg_left, spec.fg_right)
-    ridge = spec.base_depth + spec.ridge_amplitude * np.sin(
-        2 * np.pi * cols / spec.ridge_period)
-    values[spec.fg_top:spec.fg_bottom, spec.fg_left:spec.fg_right] = ridge
-    if spec.noise_sigma > 0:
-        rng = np.random.default_rng(spec.seed)
-        values = values + spec.noise_sigma * rng.standard_normal(values.shape)
-    return DepthMap(values)
+    """The scene of the README's A/B experiment: SceneSpec's defaults."""
+    return SceneSpec()
 
 
 def _initial_prediction(gt: DepthMap, cfg: FitConfig) -> np.ndarray:

@@ -681,6 +681,23 @@ def test_loss_commands_load_neither_harness_nor_metrics(tmp_path, command):
     assert not loaded & {"hdnorm.harness", "hdnorm.metrics"}
 
 
+def test_synth_loads_only_the_scene_modules(tmp_path):
+    # the scene, its defaults and the PFM writer all live in depth_core
+    done = _fresh_main(["synth", "--out", str(tmp_path / "f.pfm")], after=_LOADED)
+    assert done.returncode == 0
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    assert loaded == {"hdnorm.cli", "hdnorm.depth_core", "hdnorm.errors"}
+
+
+@pytest.mark.parametrize("command", ["synth", "fit", "compare"])
+def test_scene_flags_load_no_fitting_code(command):
+    # fit may load contexts for its --loss-kind choices
+    done = _fresh_main([command, "--help"], after=_LOADED)
+    assert done.returncode == 0
+    loaded = set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    assert not loaded & {"hdnorm.harness", "hdnorm.loss", "hdnorm.metrics"}
+
+
 def test_compare_loads_its_modules_before_the_pool_forks():
     # forked fit workers inherit the loss, contexts and metrics modules
     # instead of compiling them each; importing the CLI loads none of them

@@ -1,6 +1,8 @@
+import dataclasses
 import multiprocessing
 import os
 import pickle
+import re
 import shlex
 import signal
 import subprocess
@@ -8,6 +10,7 @@ import sys
 import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 from hdnorm import (
     DepthMap,
     FitConfig,
+    SceneSpec,
     compare_losses,
     fit_depth,
     generate_scene,
@@ -71,6 +75,15 @@ def test_scene_spec_validation():
         with pytest.raises(ParameterError, match=f"{name} must be an integer"):
             small_fixture(**{name: value})
     assert generate_scene(small_fixture(height=np.int64(16))).height == 16
+    # float fields take any real number, and nothing else
+    for name, value in (("background_depth", "10"), ("base_depth", "1"),
+                        ("ridge_amplitude", None), ("ridge_period", [4.0]),
+                        ("noise_sigma", None), ("noise_sigma", 0.1j)):
+        message = re.escape(f"{name} must be a number, got {value!r}")
+        with pytest.raises(ParameterError, match=message):
+            small_fixture(**{name: value})
+    assert generate_scene(small_fixture(base_depth=1, ridge_amplitude=Fraction(1, 5),
+                                        ridge_period=np.float32(4))).height == 16
 
 
 def test_fit_config_validation():
@@ -89,6 +102,12 @@ def test_fit_config_validation():
     with pytest.raises(ParameterError, match="unknown loss kind"):
         FitConfig(["ssi"])  # unhashable, so not a key of LOSS_KINDS
     assert FitConfig("hdn_s", (1.0, np.int64(2))).label == "hdn_s[1,2]"
+    for value in ("1", None, [1.0]):
+        message = re.escape(f"step_size must be a number, got {value!r}")
+        with pytest.raises(ParameterError, match=message):
+            FitConfig("ssi", step_size=value)
+    # an inf step is a number: fit_depth reports it diverged
+    assert FitConfig("ssi", step_size=np.inf).step_size == np.inf
 
 
 def test_compare_losses_needs_a_config():
@@ -448,6 +467,17 @@ def test_errors_survive_pickling():
         assert str(back) == str(err)
         assert getattr(back, "step", None) == getattr(err, "step", None)
     assert str(DivergenceError(3)) == "no step size gave an evaluable prediction at step 3"
+
+
+def test_scene_spec_defaults_are_the_standard_fixture():
+    # the scene flags' defaults, and the benchmark's fixture, read these
+    assert SceneSpec() == standard_fixture()
+    assert dataclasses.asdict(SceneSpec()) == dict(
+        height=64, width=64, background_depth=10.0,
+        fg_top=16, fg_bottom=48, fg_left=16, fg_right=48,
+        base_depth=1.0, ridge_amplitude=0.2, ridge_period=8.0,
+        noise_sigma=0.0, seed=7)
+    assert SceneSpec(noise_sigma=0.1).seed == 7
 
 
 def test_standard_fixture_shape():

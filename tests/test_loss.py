@@ -159,20 +159,45 @@ def test_self_loss_is_zero_at_every_scale(kind, sizes):
             assert not report.gradient.any(), k
 
 
-def test_self_loss_is_zero_on_a_vga_map():
-    # a 480x640 tilted plane with closer blobs, fine texture and 5% of its
-    # pixels invalid, under the five context layouts of the VGA benchmark
-    rng = np.random.default_rng(11)
-    y, x = np.mgrid[0:480, 0:640] / np.array([480, 640])[:, None, None]
-    values = 4.0 + 8.0 * y + 2.5 * x + 0.02 * rng.standard_normal((480, 640))
+# the five context layouts of the VGA benchmark
+DESK_LAYOUTS = [("spatial", (1,)), ("spatial", (1, 2, 4, 8)),
+                ("spatial", (1, 2, 4, 8, 16, 32)),
+                ("depth_percentile", (1, 2, 4)), ("depth_range", (1, 2, 4))]
+
+
+def _desk_map(rng, h, w):
+    """An h x w tilted plane with closer blobs, fine texture and 5% of its
+    pixels invalid."""
+    y, x = np.mgrid[0:h, 0:w] / np.array([h, w])[:, None, None]
+    values = 4.0 + 8.0 * y + 2.5 * x + 0.02 * rng.standard_normal((h, w))
     for cy, cx, r, d in rng.uniform((0, 0, 0.05, 1), (1, 1, 0.2, 3), (6, 4)):
         values -= d * np.exp(-((y - cy) ** 2 + (x - cx) ** 2) / (2 * r * r))
-    gt = DepthMap(values, rng.random((480, 640)) > 0.05)
-    for kind, sizes in [("spatial", (1,)), ("spatial", (1, 2, 4, 8)),
-                        ("spatial", (1, 2, 4, 8, 16, 32)),
-                        ("depth_percentile", (1, 2, 4)), ("depth_range", (1, 2, 4))]:
+    return DepthMap(values, rng.random((h, w)) > 0.05)
+
+
+def test_self_loss_is_zero_on_a_vga_map():
+    gt = _desk_map(np.random.default_rng(11), 480, 640)
+    for kind, sizes in DESK_LAYOUTS:
         cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
         assert hdn_loss(gt, gt, cfg).value == 0.0, (kind, sizes)
+
+
+def test_hdn_matches_brute_force_at_240x320():
+    # about 73,000 joint-valid pixels per level: every layout but the
+    # single-level one is past BLOCK_MEMBERS, so each level runs as a
+    # block of its own, and contexts range from ~70 to ~73,000 members
+    rng = np.random.default_rng(12)
+    gt = _desk_map(rng, 240, 320)
+    pred = DepthMap(0.3 * gt.values + 1.5 + 0.05 * rng.standard_normal((240, 320)))
+    for kind, sizes in DESK_LAYOUTS:
+        cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+        report = hdn_loss(pred, gt, cfg, with_gradient=True)
+        assert len(cfg._memo[2].blocks) == len(sizes)  # one block per level
+        args = (pred.values.tolist(), gt.values.tolist(), pred.valid.tolist(),
+                gt.valid.tolist(), 240, 320, kind, sizes)
+        assert report.value == pytest.approx(ref_hdn_loss(*args), abs=1e-12), (kind, sizes)
+        grad = np.array(ref_hdn_gradient(*args))
+        assert np.abs(report.gradient - grad).max() <= 1e-9 * np.abs(grad).max()
 
 
 @pytest.mark.parametrize("kind,sizes", [("spatial", (1, 2, 4, 8)),
