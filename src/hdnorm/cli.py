@@ -25,20 +25,10 @@ from .depth_core import DepthMap
 from .errors import FormatError, HdnormError, ParameterError, ShapeMismatchError
 
 
-def _read(reader, path: str):
-    # a header may promise more bytes than memory holds, and the read then
-    # raises a MemoryError with no message
-    try:
-        return reader(path)
-    except MemoryError:
-        raise MemoryError(f"{path}: out of memory") from None
-
-
 def _load_map(path: str, mask_path=None) -> DepthMap:
-    csv = path.endswith(".csv")
-    m = _read(depth_core.read_csv_map if csv else depth_core.read_pfm, path)
+    m = (depth_core.read_csv_map if path.endswith(".csv") else depth_core.read_pfm)(path)
     if mask_path:
-        mask = _read(depth_core.read_mask, mask_path)
+        mask = depth_core.read_mask(mask_path)
         if mask.shape != m.values.shape:
             raise ShapeMismatchError(
                 f"mask {mask.shape} does not match map {m.values.shape}")
@@ -337,7 +327,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command][1](args)
     except (HdnormError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)  # a bare MemoryError
         return 2
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .depth_core import DepthMap
-from .errors import ParameterError
+from .errors import EmptyInputError, ParameterError
 
 KINDS = ("spatial", "depth_percentile", "depth_range")
 # loss kind -> context kind of its levels; None is the one global context
@@ -71,8 +71,10 @@ class LevelSpec:
 
 
 def _valid_linear(map_: DepthMap) -> np.ndarray:
-    map_.require_valid()
-    return np.flatnonzero(map_.valid.ravel())
+    idx = np.flatnonzero(map_.valid.ravel())
+    if idx.size == 0:
+        raise EmptyInputError("map has no valid pixels")
+    return idx
 
 
 def global_context(map_: DepthMap) -> Partition:

@@ -67,14 +67,6 @@ class DepthMap:
     def width(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def valid_count(self) -> int:
-        return int(self.valid.sum())
-
-    def require_valid(self) -> None:
-        if self.valid_count == 0:
-            raise EmptyInputError("map has no valid pixels")
-
 
 def joint_valid(pred: DepthMap, gt: DepthMap) -> np.ndarray:
     """The mask of pixels valid in both maps, which must share their
@@ -181,7 +173,10 @@ def _read_raster(f, fmt: str, last: str, parse_last, itemsize: int,
     parsed = parse_last(_read_token_line(f, fmt, last, comments))
     st = os.fstat(f.fileno())
     left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else size
-    payload = f.read(min(size, left))
+    try:  # on a pipe, nothing but the header caps the read
+        payload = f.read(min(size, left))
+    except MemoryError:
+        raise FormatError(f"{f.name}: {fmt} payload of {size} bytes does not fit in memory") from None
     if len(payload) != size:
         raise FormatError(f"truncated {fmt} payload: got {len(payload)} of {size} bytes")
     if f.read(1):
@@ -255,6 +250,22 @@ def read_csv_map(path) -> DepthMap:
 # ---------------------------------------------------------------------------
 # Synthetic scenes
 
+def check_number_fields(obj) -> None:
+    """Each field of the dataclass obj with an int default must hold an
+    integer, each with a float default a real number in float range."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if type(f.default) is int and not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+        if type(f.default) is float:
+            if not isinstance(value, numbers.Real):
+                raise ParameterError(f"{f.name} must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:  # an int or fraction past float range
+                raise ParameterError(f"{f.name} is past float range") from None
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """A flat background with a closer rectangular foreground carrying a
@@ -277,12 +288,7 @@ class SceneSpec:
     seed: int = 7
 
     def __post_init__(self):
-        for f in fields(self):  # each field takes its default's kind
-            value = getattr(self, f.name)
-            kind, word = ((numbers.Integral, "an integer") if type(f.default) is int
-                          else (numbers.Real, "a number"))
-            if not isinstance(value, kind):
-                raise ParameterError(f"{f.name} must be {word}, got {value!r}")
+        check_number_fields(self)
         if self.height < 1 or self.width < 1:
             raise ParameterError("scene dimensions must be positive")
         if not (0 <= self.fg_top < self.fg_bottom <= self.height

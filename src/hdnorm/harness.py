@@ -9,7 +9,6 @@ hierarchical contexts keep it supervised.
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import metrics
 from .contexts import LOSS_KINDS, LevelSpec
-from .depth_core import DepthMap, SceneSpec, generate_scene
+from .depth_core import DepthMap, SceneSpec, check_number_fields, generate_scene
 from .errors import DivergenceError, InvalidMapError, ParameterError
 from .loss import hdn_loss, loss_config
 
@@ -33,10 +32,7 @@ class FitConfig:
     def __post_init__(self):
         if not isinstance(self.loss_kind, str) or self.loss_kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.loss_kind!r}")
-        if not all(isinstance(v, numbers.Integral) for v in (self.steps, self.seed)):
-            raise ParameterError(f"steps and seed must be integers: {(self.steps, self.seed)}")
-        if not isinstance(self.step_size, numbers.Real):
-            raise ParameterError(f"step_size must be a number, got {self.step_size!r}")
+        check_number_fields(self)
         # an inf step size stays inf when halved: fit_depth reports it diverged
         if self.steps < 1 or not self.step_size > 0 or self.seed < 0:
             raise ParameterError("steps must be >= 1, step_size > 0 and seed >= 0")

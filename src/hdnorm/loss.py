@@ -66,7 +66,7 @@ import numpy as np
 from .contexts import (LOSS_KINDS, ContextHierarchy, LevelSpec, build_hierarchy,
                        global_context, stable_argsort)
 from .depth_core import DepthMap, joint_valid
-from .errors import DegenerateInputError, InvalidMapError, ParameterError
+from .errors import DegenerateInputError, InvalidMapError, ParameterError, ShapeMismatchError
 
 GRAD_STEP = 1e-5  # numerical_gradient's bump, relative to pred's size
 # a gradient check's bound on the relative error; numerical_gradient also
@@ -163,7 +163,11 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     levels = []
     for part in cfg.hierarchy.levels:
         pix, sizes = part.members, part.sizes
-        joint_pix = jf[pix]
+        try:
+            joint_pix = jf[pix]
+        except IndexError:  # no shape is stored; a larger map's pixels are past gt's
+            raise ShapeMismatchError(f"cfg was built from another map than the "
+                                     f"{gt.height}x{gt.width} gt") from None
         if not joint_pix.all():
             pix = pix[joint_pix]
             sizes = np.add.reduceat(joint_pix, np.cumsum(sizes) - sizes, dtype=np.intp)

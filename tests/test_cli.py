@@ -726,7 +726,18 @@ def test_map_read_out_of_memory_names_the_file(fixture_files):
     done = _fresh_main(["loss", "/dev/stdin", gp],
                        input="Pf\n1000000000 1000000000\n-1.0\n")
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: /dev/stdin: out of memory\n"
+    assert done.stderr == ("error: /dev/stdin: PFM payload of 4000000000000000000 "
+                           "bytes does not fit in memory\n")
+
+
+def test_memory_error_without_a_message_says_out_of_memory(monkeypatch, capsys):
+    # Python's own failed allocations raise a MemoryError with no message
+    # (bytes(2**62) does); the error line still says what went wrong
+    def no_memory(path):
+        raise MemoryError
+    monkeypatch.setattr(cli.depth_core, "read_csv_map", no_memory)
+    assert main(["eval", "pred.csv", "gt.csv"]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_unknown_command_exit2(capsys):

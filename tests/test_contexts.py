@@ -50,7 +50,7 @@ def test_global_with_invalid():
 
 def test_global_equals_spatial_s1(rng):
     m = DepthMap(rng.normal(size=(3, 5)), rng.random((3, 5)) > 0.4)
-    if m.valid_count == 0:
+    if not m.valid.any():
         m = DepthMap(m.values)
     a, b = global_context(m), level(m, "spatial", 1)
     assert as_sets(a) == as_sets(b)

@@ -58,7 +58,7 @@ def test_write_pfm_rounds_tiny_values_as_float32(tmp_path):
 
 def test_depthmap_allows_nan_at_invalid_pixel():
     m = DepthMap(np.array([[np.nan, 1.0]]), np.array([[False, True]]))
-    assert m.valid_count == 1
+    assert int(m.valid.sum()) == 1
 
 
 def test_depthmap_is_immutable():
@@ -335,6 +335,27 @@ def test_mask_from_pipe():
         _read_pipe(read_mask, b"P5\n2 1\n255\n\x00\x01\x00")
     with pytest.raises(FormatError, match="bad PGM dimensions 99999999999x99999999999"):
         _read_pipe(read_mask, b"P5\n99999999999 99999999999\n255\n")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("reader,fmt,header", [
+    (read_pfm, "PFM", b"Pf\n1000000000 1000000000\n-1.0\n"),
+    (read_mask, "PGM", b"P5\n3000000000 3000000000\n255\n")])
+def test_pipe_payload_past_memory_is_a_format_error(reader, fmt, header):
+    # within the index range, but no read can allocate 4e18 or 9e18
+    # bytes; a pipe has no file size to cap the read
+    r, w = os.pipe()
+    os.write(w, header)
+    os.close(w)
+    path = f"/dev/fd/{r}"
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(FormatError, match=f"^{path}: {fmt} payload of "
+                                              r"\d+ bytes does not fit in memory$"):
+            reader(path)
+    finally:
+        os.close(r)
+    assert time.monotonic() - t0 < 1.0
 
 
 @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf", b"1e999"])

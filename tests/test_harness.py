@@ -96,9 +96,10 @@ def test_fit_config_validation():
     for sizes in (("x",), (), (0,), (2, 2), (1.9, 2.5)):
         with pytest.raises(ParameterError):
             FitConfig("hdn_s", sizes)
-    for kw in ({"steps": 2.5}, {"steps": 2.0}, {"seed": 1.5}):
-        with pytest.raises(ParameterError, match="must be integers"):
-            FitConfig("ssi", **kw)
+    for name, value in (("steps", 2.5), ("steps", 2.0), ("seed", 1.5)):
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(ParameterError, match=message):
+            FitConfig("ssi", **{name: value})
     with pytest.raises(ParameterError, match="unknown loss kind"):
         FitConfig(["ssi"])  # unhashable, so not a key of LOSS_KINDS
     assert FitConfig("hdn_s", (1.0, np.int64(2))).label == "hdn_s[1,2]"
@@ -108,6 +109,18 @@ def test_fit_config_validation():
             FitConfig("ssi", step_size=value)
     # an inf step is a number: fit_depth reports it diverged
     assert FitConfig("ssi", step_size=np.inf).step_size == np.inf
+    assert FitConfig("ssi", seed=10**400).seed == 10**400  # any integer
+
+
+@pytest.mark.parametrize("value", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+@pytest.mark.parametrize("name", ["background_depth", "base_depth", "ridge_amplitude",
+                                  "ridge_period", "noise_sigma", "step_size"])
+def test_number_past_float_range_is_a_parameter_error(name, value):
+    # a real number that float() cannot take; the message names the field
+    # without the 400-digit value
+    make = (lambda **kw: FitConfig("ssi", **kw)) if name == "step_size" else small_fixture
+    with pytest.raises(ParameterError, match=f"^{name} is past float range$"):
+        make(**{name: value})
 
 
 def test_compare_losses_needs_a_config():

@@ -72,6 +72,19 @@ def test_ssi_shape_mismatch():
         ssi(DepthMap(np.ones((1, 2))), DepthMap(np.ones((2, 1))))
 
 
+@pytest.mark.parametrize("kind", ["ssi", "hdn_s", "hdn_dp", "hdn_dr"])
+def test_cfg_from_a_larger_map_is_a_shape_mismatch(kind):
+    # a LossConfig stores no shape, but the contexts of the 64x64 map
+    # index pixels past the end of a 16x16 gt
+    small = generate_scene(small_fixture())
+    cfg = loss_config(generate_scene(standard_fixture()), kind, (1, 2))
+    message = "cfg was built from another map than the 16x16 gt"
+    with pytest.raises(ShapeMismatchError, match=message):
+        hdn_loss(small, small, cfg)
+    with pytest.raises(ShapeMismatchError, match=message):
+        numerical_gradient(small, small, cfg)
+
+
 def test_ssi_empty_joint_mask():
     a = DepthMap(np.ones((1, 2)), np.array([[True, False]]))
     b = DepthMap(np.ones((1, 2)), np.array([[False, True]]))
@@ -185,19 +198,24 @@ def test_self_loss_is_zero_on_a_vga_map():
 def test_hdn_matches_brute_force_at_240x320():
     # about 73,000 joint-valid pixels per level: every layout but the
     # single-level one is past BLOCK_MEMBERS, so each level runs as a
-    # block of its own, and contexts range from ~70 to ~73,000 members
+    # block of its own, and contexts range from ~70 to ~73,000 members.
+    # Rounded to multiples of 1/64, pred takes a few hundred values, so
+    # median ranks tie
     rng = np.random.default_rng(12)
     gt = _desk_map(rng, 240, 320)
     pred = DepthMap(0.3 * gt.values + 1.5 + 0.05 * rng.standard_normal((240, 320)))
-    for kind, sizes in DESK_LAYOUTS:
-        cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
-        report = hdn_loss(pred, gt, cfg, with_gradient=True)
-        assert len(cfg._memo[2].blocks) == len(sizes)  # one block per level
-        args = (pred.values.tolist(), gt.values.tolist(), pred.valid.tolist(),
-                gt.valid.tolist(), 240, 320, kind, sizes)
-        assert report.value == pytest.approx(ref_hdn_loss(*args), abs=1e-12), (kind, sizes)
-        grad = np.array(ref_hdn_gradient(*args))
-        assert np.abs(report.gradient - grad).max() <= 1e-9 * np.abs(grad).max()
+    rounded = [DepthMap(np.round(m.values * 64) / 64, m.valid) for m in (pred, gt)]
+    for pred, gt in [(pred, gt), rounded]:
+        for kind, sizes in DESK_LAYOUTS:
+            cfg = LossConfig(build_hierarchy(gt, LevelSpec(kind, sizes)))
+            report = hdn_loss(pred, gt, cfg, with_gradient=True)
+            assert len(cfg._memo[2].blocks) == len(sizes)  # one block per level
+            args = (pred.values.tolist(), gt.values.tolist(), pred.valid.tolist(),
+                    gt.valid.tolist(), 240, 320, kind, sizes)
+            want = ref_hdn_loss(*args)
+            assert report.value == pytest.approx(want, abs=1e-12), (kind, sizes)
+            grad = np.array(ref_hdn_gradient(*args))
+            assert np.abs(report.gradient - grad).max() <= 1e-9 * np.abs(grad).max()
 
 
 @pytest.mark.parametrize("kind,sizes", [("spatial", (1, 2, 4, 8)),
@@ -363,7 +381,7 @@ def test_gradient_one_context_level_short_of_used_pixels():
     gt = generate_scene(small_fixture())
     pred = DepthMap(np.random.default_rng(0).uniform(1, 10, gt.values.shape))
     (ctx,) = _surviving_contexts(pred, gt, "depth_range", 4)
-    assert 2 <= len(ctx) < gt.valid_count
+    assert 2 <= len(ctx) < int(gt.valid.sum())
     _assert_gradient_matches_oracle(pred, gt, "depth_range", (1, 4))
 
 

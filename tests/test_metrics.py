@@ -155,7 +155,7 @@ def test_evaluate_alignment_absorbs_affine(rng):
     assert report.absrel == pytest.approx(0, abs=1e-9)
     assert report.delta1 == 1.0
     assert (report.scale, report.shift) == pytest.approx((4.0, 8.0), abs=1e-6)
-    assert report.pixels == gt.valid_count
+    assert report.pixels == int(gt.valid.sum())
 
 
 def test_evaluate_counts_and_excludes_nonpositive_gt():
