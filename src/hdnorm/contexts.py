@@ -41,9 +41,10 @@ class Partition:
 
 @dataclass(frozen=True)
 class ContextHierarchy:
-    """Ordered list of partitions; one per scale level."""
+    """Partitions, one per scale level, of the valid pixels of a map of shape (H, W)."""
 
     levels: tuple
+    shape: tuple
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,8 @@ def build_hierarchy(gt: DepthMap, spec: LevelSpec) -> ContextHierarchy:
     no pixel give no context."""
     idx = _valid_linear(gt)
     key = _key_function(gt, idx, spec.kind)
-    return ContextHierarchy(tuple(
-        Partition(f"{spec.kind}-{S}", *_group_by(idx, key(S))) for S in spec.sizes))
+    return ContextHierarchy(tuple(Partition(f"{spec.kind}-{S}", *_group_by(idx, key(S)))
+                                  for S in spec.sizes), gt.values.shape)
 
 
 def partition_dump(p: Partition) -> str:

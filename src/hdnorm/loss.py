@@ -91,7 +91,7 @@ def loss_config(gt: DepthMap, loss_kind: str,
     if not isinstance(loss_kind, str) or loss_kind not in LOSS_KINDS:
         raise ParameterError(f"unknown loss kind {loss_kind!r}")
     if LOSS_KINDS[loss_kind] is None:
-        return LossConfig(ContextHierarchy((global_context(gt),)))
+        return LossConfig(ContextHierarchy((global_context(gt),), gt.values.shape))
     return LossConfig(build_hierarchy(gt, LevelSpec(LOSS_KINDS[loss_kind], level_sizes)))
 
 
@@ -155,6 +155,9 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     filter rule rejects, and make the blocks. Each level is one flat
     pass over its members; only the medians (np.median's values) take a
     loop over contexts, and _center takes the MADs as the pass does."""
+    if cfg.hierarchy.shape != gt.values.shape:
+        raise ShapeMismatchError("cfg was built from a {}x{} map, not the {}x{} gt".format(
+            *cfg.hierarchy.shape, *gt.values.shape))
     jf = joint.ravel()
     gf = gt.values.ravel()
     scale = _prescale(gf.min(initial=0.0, where=jf), gf.max(initial=0.0, where=jf))
@@ -163,11 +166,7 @@ def _build_plan(gt: DepthMap, joint: np.ndarray, cfg: LossConfig) -> _Plan:
     levels = []
     for part in cfg.hierarchy.levels:
         pix, sizes = part.members, part.sizes
-        try:
-            joint_pix = jf[pix]
-        except IndexError:  # no shape is stored; a larger map's pixels are past gt's
-            raise ShapeMismatchError(f"cfg was built from another map than the "
-                                     f"{gt.height}x{gt.width} gt") from None
+        joint_pix = jf[pix]
         if not joint_pix.all():
             pix = pix[joint_pix]
             sizes = np.add.reduceat(joint_pix, np.cumsum(sizes) - sizes, dtype=np.intp)
@@ -255,11 +254,11 @@ def _middle_ranks(lv: _Level, order: np.ndarray):
 
 def hdn_loss(pred: DepthMap, gt: DepthMap, cfg: LossConfig,
              with_gradient: bool = False) -> LossReport:
-    """Hierarchical loss over cfg.hierarchy (built from this gt). With
-    with_gradient set, the report also holds the analytical
-    d(loss)/d(pred) as an H x W array, zero at invalid pixels and at
-    pixels with no surviving context. Every finite pred has a value; a
-    gradient whose 1 / pred MAD overflows raises InvalidMapError."""
+    """Hierarchical loss over cfg.hierarchy; a cfg built from a map of another
+    shape than gt raises ShapeMismatchError. With with_gradient set, the report
+    also holds the analytical d(loss)/d(pred) as an H x W array, zero at invalid
+    pixels and at pixels with no surviving context. Every finite pred has a
+    value; a gradient whose 1 / pred MAD overflows raises InvalidMapError."""
     plan = _plan_for(cfg, gt, joint_valid(pred, gt))
     pf = pred.values.ravel()
     order = _pred_order(plan, pf)

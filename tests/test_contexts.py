@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdnorm import DepthMap, LevelSpec, build_hierarchy, global_context, partition_dump
+from hdnorm import (DepthMap, LevelSpec, build_hierarchy, global_context, loss_config,
+                    partition_dump)
 from hdnorm.contexts import stable_argsort
 from hdnorm.errors import EmptyInputError, ParameterError
 
@@ -168,12 +169,16 @@ def test_partition_dump_dp():
 
 
 def test_pixel_to_context_consistency(rng):
-    # the contexts are non-empty, disjoint, and cover the valid pixels
+    # the contexts are non-empty, disjoint, and cover the valid pixels;
+    # a hierarchy records the (H, W) of the map it partitions
     gt = DepthMap(rng.normal(size=(6, 7)), rng.random((6, 7)) > 0.3)
     p = level(gt, "depth_range", 3)
     assert all(ctx.size > 0 for ctx in p.contexts)
     covered = np.sort(np.concatenate(p.contexts))
     assert np.array_equal(covered, np.flatnonzero(gt.valid.ravel()))
+    for kind in ("spatial", "depth_percentile", "depth_range"):
+        assert build_hierarchy(gt, LevelSpec(kind, (1, 3))).shape == gt.values.shape == (6, 7)
+    assert loss_config(gt, "ssi").hierarchy.shape == (6, 7)
 
 
 # --- brute-force oracle equivalence and invariants ---

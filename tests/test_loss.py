@@ -10,6 +10,7 @@ from hdnorm import (
     DepthMap,
     LevelSpec,
     LossConfig,
+    SceneSpec,
     build_hierarchy,
     generate_scene,
     hdn_loss,
@@ -73,16 +74,21 @@ def test_ssi_shape_mismatch():
 
 
 @pytest.mark.parametrize("kind", ["ssi", "hdn_s", "hdn_dp", "hdn_dr"])
-def test_cfg_from_a_larger_map_is_a_shape_mismatch(kind):
-    # a LossConfig stores no shape, but the contexts of the 64x64 map
-    # index pixels past the end of a 16x16 gt
+def test_cfg_from_another_map_is_a_shape_mismatch(kind):
+    # a hierarchy records the shape of its map. A larger map's contexts
+    # index past a 16x16 gt; a smaller map's fall inside a 64x64 one,
+    # whose noise keeps them from all being filtered out as flat
     small = generate_scene(small_fixture())
-    cfg = loss_config(generate_scene(standard_fixture()), kind, (1, 2))
-    message = "cfg was built from another map than the 16x16 gt"
-    with pytest.raises(ShapeMismatchError, match=message):
-        hdn_loss(small, small, cfg)
-    with pytest.raises(ShapeMismatchError, match=message):
-        numerical_gradient(small, small, cfg)
+    large = generate_scene(SceneSpec(noise_sigma=0.1))
+    for cfg_map, gt, message in [
+            (large, small, "cfg was built from a 64x64 map, not the 16x16 gt"),
+            (small, large, "cfg was built from a 16x16 map, not the 64x64 gt")]:
+        cfg = loss_config(cfg_map, kind, (1, 2))
+        for call in (lambda: hdn_loss(gt, gt, cfg, with_gradient=True),
+                     lambda: numerical_gradient(gt, gt, cfg),
+                     lambda: l1_plus_hdn(gt, gt, cfg, 1.0)):
+            with pytest.raises(ShapeMismatchError, match=message):
+                call()
 
 
 def test_ssi_empty_joint_mask():
